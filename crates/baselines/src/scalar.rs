@@ -33,7 +33,6 @@ pub fn scalar_codegen(
             cse: true,
             fma_contraction: false,
             iterations: 3,
-            block_memo: true,
         }
     } else {
         PassConfig {
@@ -43,7 +42,6 @@ pub fn scalar_codegen(
             cse: true,
             fma_contraction: false,
             iterations: 1,
-            block_memo: true,
         }
     };
     optimize(&mut f, &passes);

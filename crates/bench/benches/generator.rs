@@ -59,24 +59,6 @@ fn bench_stages(c: &mut Criterion) {
             f
         })
     });
-    // the same pipeline with the block memo pinned on, asserting the
-    // reuse actually fires: fixpoint tail rounds replay memoized CSE
-    // segments and skip clean passes instead of re-scanning ~43k
-    // instructions per round. Compare against `stage3_passes_potrf64`
-    // to price the memo itself.
-    g.bench_function("stage3_block_reuse", |b| {
-        use slingen_cir::passes::optimize_with_stats;
-        b.iter(|| {
-            let mut f = f64_.clone();
-            let cfg = PassConfig { block_memo: true, ..PassConfig::default() };
-            let stats = optimize_with_stats(&mut f, &cfg, &mut |_, _| {});
-            assert!(
-                stats.rounds.iter().map(|r| r.blocks_skipped).sum::<usize>() > 0,
-                "block memo never fired on potrf64"
-            );
-            f
-        })
-    });
     // incremental CSE in isolation: one nearly-clean round over the
     // converged ~43k-instruction potrf64 body (a single register dirty),
     // i.e. the cost the fixpoint loop pays per round after the seeding

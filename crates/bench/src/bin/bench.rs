@@ -123,7 +123,6 @@ struct TuneRecord {
     pruned: usize,
     deduped: usize,
     predicted: usize,
-    blocks_reused: usize,
     lb_pruned: usize,
     cold_ms: f64,
     cached_ms: f64,
@@ -159,7 +158,6 @@ fn measure_tune(name: &str, program: &Program) -> TuneRecord {
         pruned: g.tuning.pruned,
         deduped: g.tuning.deduped,
         predicted: g.tuning.predicted,
-        blocks_reused: g.tuning.blocks_reused,
         lb_pruned: g.tuning.lb_pruned,
         cold_ms,
         cached_ms,
@@ -478,7 +476,7 @@ fn main() {
                 t.cold_ms / t.cached_ms.max(1e-9),
                 t.hit_rate
             );
-            eprintln!("  blocks_reused {:5}  lb_pruned {:2}", t.blocks_reused, t.lb_pruned);
+            eprintln!("  lb_pruned {:2}", t.lb_pruned);
             for c in &t.rep_costs {
                 eprintln!(
                     "    rep {:16} lower {:8.3} ms  opt {:8.3} ms  measure {:8.3} ms",
@@ -583,7 +581,7 @@ fn main() {
             json.push_str(&format!(
                 "    {{\"app\": \"{}\", \"winner\": \"{}\", \"variants_explored\": {}, \
                  \"variants_pruned\": {}, \"variants_deduped\": {}, \
-                 \"variants_predicted\": {}, \"blocks_reused\": {}, \"lb_pruned\": {}, \
+                 \"variants_predicted\": {}, \"lb_pruned\": {}, \
                  \"cold_ms\": {:.3}, \
                  \"cached_ms\": {:.4}, \"cache_speedup\": {:.1}, \
                  \"cache_hit_rate\": {:.3}, \"reps\": [{}]}}{}\n",
@@ -593,7 +591,6 @@ fn main() {
                 t.pruned,
                 t.deduped,
                 t.predicted,
-                t.blocks_reused,
                 t.lb_pruned,
                 t.cold_ms,
                 t.cached_ms,

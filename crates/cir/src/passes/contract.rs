@@ -29,7 +29,7 @@
 
 use crate::func::{CStmt, Function};
 use crate::instr::{BinOp, FmaKind, Instr, SOperand, SReg, VReg};
-use crate::passes::{Consumer, DirtyLog, DirtyView};
+use crate::passes::DirtyLog;
 
 /// A pending multiply whose result register may feed one add.
 #[derive(Clone, Copy)]
@@ -128,30 +128,26 @@ impl Contract {
     }
 }
 
-/// Rewrite one instruction in place; returns `true` on contraction. The
-/// fused multiply's destination loses its single read, so it is marked
-/// dirty (its definition dies; DCE must recheck its run).
-fn process(st: &mut Contract, ins: &mut Instr, dirty: &mut DirtyLog) -> bool {
+/// Rewrite one instruction in place; returns `true` on contraction.
+fn process(st: &mut Contract, ins: &mut Instr) -> bool {
     let mut changed = false;
     match ins {
         Instr::SBin { op: op @ (BinOp::Add | BinOp::Sub), dst, a, b } => {
             // prefer the first operand's multiply; for Add fall back to
             // the second (addition commutes), deterministically
-            if let Some((mr, m)) = st.smul_for(a) {
+            if let Some((_, m)) = st.smul_for(a) {
                 let kind = match op {
                     BinOp::Add => FmaKind::MulAdd, // a*b + c
                     _ => FmaKind::MulSub,          // a*b - c
                 };
                 *ins = Instr::SFma { kind, dst: *dst, a: m.a, b: m.b, c: *b };
-                dirty.mark_s(mr);
                 changed = true;
-            } else if let Some((mr, m)) = st.smul_for(b) {
+            } else if let Some((_, m)) = st.smul_for(b) {
                 let kind = match op {
                     BinOp::Add => FmaKind::MulAdd, // c + a*b
                     _ => FmaKind::NegMulAdd,       // c - a*b
                 };
                 *ins = Instr::SFma { kind, dst: *dst, a: m.a, b: m.b, c: *a };
-                dirty.mark_s(mr);
                 changed = true;
             }
         }
@@ -161,18 +157,14 @@ fn process(st: &mut Contract, ins: &mut Instr, dirty: &mut DirtyLog) -> bool {
                     BinOp::Add => FmaKind::MulAdd,
                     _ => FmaKind::MulSub,
                 };
-                let mr = *a;
                 *ins = Instr::VFma { kind, dst: *dst, a: m.a, b: m.b, c: *b };
-                dirty.mark_v(mr);
                 changed = true;
             } else if let Some(m) = st.vmul_for(*b) {
                 let kind = match op {
                     BinOp::Add => FmaKind::MulAdd,
                     _ => FmaKind::NegMulAdd,
                 };
-                let mr = *b;
                 *ins = Instr::VFma { kind, dst: *dst, a: m.a, b: m.b, c: *a };
-                dirty.mark_v(mr);
                 changed = true;
             }
         }
@@ -213,31 +205,12 @@ fn process(st: &mut Contract, ins: &mut Instr, dirty: &mut DirtyLog) -> bool {
     changed
 }
 
-fn walk(stmts: &mut [CStmt], st: &mut Contract, dirty: &mut DirtyLog, view: &DirtyView) -> bool {
+fn walk(stmts: &mut [CStmt], st: &mut Contract, dirty: &mut DirtyLog) -> bool {
     let mut changed = false;
-    // Clean-run skipping (block memo): multiply facts are run-local and
-    // the whole-function read counts can only have changed for marked
-    // registers, so a clean run repeats its previous (non-)fusions.
-    let mut run_end = 0;
-    let mut run_clean = false;
-    for r in 0..stmts.len() {
-        if r >= run_end {
-            if matches!(stmts[r], CStmt::I(_)) {
-                let (end, clean) = super::scan_run(dirty, view, stmts, r);
-                run_end = end;
-                run_clean = clean;
-                if clean {
-                    dirty.note_skip();
-                }
-            } else {
-                run_end = r + 1;
-                run_clean = false;
-            }
-        }
-        match &mut stmts[r] {
-            CStmt::I(_) if run_clean => {}
+    for s in stmts {
+        match s {
             CStmt::I(ins) => {
-                if process(st, ins, dirty) {
+                if process(st, ins) {
                     // the add/sub became an FMA: its key changed
                     if let Some(r) = ins.sreg_write() {
                         dirty.mark_s(r);
@@ -250,14 +223,14 @@ fn walk(stmts: &mut [CStmt], st: &mut Contract, dirty: &mut DirtyLog, view: &Dir
             }
             CStmt::For { body, .. } => {
                 st.reset();
-                changed |= walk(body, st, dirty, view);
+                changed |= walk(body, st, dirty);
                 st.reset();
             }
             CStmt::If { then_, else_, .. } => {
                 st.reset();
-                changed |= walk(then_, st, dirty, view);
+                changed |= walk(then_, st, dirty);
                 st.reset();
-                changed |= walk(else_, st, dirty, view);
+                changed |= walk(else_, st, dirty);
                 st.reset();
             }
         }
@@ -273,18 +246,10 @@ pub fn contract(f: &mut Function) -> bool {
 }
 
 /// [`contract`], additionally recording fused definitions into `dirty`
-/// for the incremental scans, and skipping runs that are provably clean
-/// for this pass.
+/// for the incremental CSE scan.
 pub fn contract_tracked(f: &mut Function, dirty: &mut DirtyLog) -> bool {
-    if dirty.skip_enabled() && dirty.is_clean_for(Consumer::Contract) {
-        dirty.note_skip();
-        return false;
-    }
-    let view = dirty.begin(Consumer::Contract);
     let mut st = Contract::for_function(f);
-    let changed = walk(&mut f.body, &mut st, dirty, &view);
-    dirty.commit(Consumer::Contract, &view);
-    changed
+    walk(&mut f.body, &mut st, dirty)
 }
 
 #[cfg(test)]

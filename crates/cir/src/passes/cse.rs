@@ -35,9 +35,9 @@
 //! assert equality.
 
 use crate::func::{CStmt, Function};
-use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::instr::{BinOp, FmaKind, Instr, LaneSel, SOperand, SReg, VReg};
-use crate::passes::{Consumer, DirtyLog, DirtyView, RoundStats};
+use crate::passes::{DirtyLog, RoundStats};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -304,22 +304,20 @@ fn instr_key(st: &Cse, ins: &Instr) -> Option<Key> {
 /// Does a fresh key computation for `ins` depend on anything dirty?
 /// Allocation-free by matching operands directly (the generic read
 /// accessors build `Vec`s, which would dominate the clean path).
-fn reads_dirty(dirty: &DirtyLog, view: &DirtyView, ins: &Instr) -> bool {
-    let s = |o: &SOperand| matches!(o, SOperand::Reg(r) if dirty.s_dirty_at(view, *r));
+fn reads_dirty(dirty: &DirtyLog, ins: &Instr) -> bool {
+    let s = |o: &SOperand| matches!(o, SOperand::Reg(r) if dirty.s_dirty(*r));
     match ins {
         Instr::SBin { a, b, .. } => s(a) || s(b),
         Instr::SFma { a, b, c, .. } => s(a) || s(b) || s(c),
         Instr::SSqrt { a, .. } => s(a),
-        Instr::SLoad { src, .. } => dirty.buf_dirty_at(view, src.buf.0),
-        Instr::VBin { a, b, .. } => dirty.v_dirty_at(view, *a) || dirty.v_dirty_at(view, *b),
-        Instr::VFma { a, b, c, .. } => {
-            dirty.v_dirty_at(view, *a) || dirty.v_dirty_at(view, *b) || dirty.v_dirty_at(view, *c)
-        }
+        Instr::SLoad { src, .. } => dirty.buf_dirty(src.buf.0),
+        Instr::VBin { a, b, .. } => dirty.v_dirty(*a) || dirty.v_dirty(*b),
+        Instr::VFma { a, b, c, .. } => dirty.v_dirty(*a) || dirty.v_dirty(*b) || dirty.v_dirty(*c),
         Instr::VBroadcast { src, .. } => s(src),
         Instr::VShuffle { a, b, .. } | Instr::VBlend { a, b, .. } => {
-            dirty.v_dirty_at(view, *a) || dirty.v_dirty_at(view, *b)
+            dirty.v_dirty(*a) || dirty.v_dirty(*b)
         }
-        Instr::VLoad { base, .. } => dirty.buf_dirty_at(view, base.buf.0),
+        Instr::VLoad { base, .. } => dirty.buf_dirty(base.buf.0),
         // non-keyed shapes: the (absent) key cannot depend on operands
         _ => false,
     }
@@ -328,25 +326,9 @@ fn reads_dirty(dirty: &DirtyLog, view: &DirtyView, ins: &Instr) -> bool {
 /// One incremental scan's working state over the shared cache.
 struct Inc<'a> {
     cache: &'a mut CseCache,
-    dirty: &'a mut DirtyLog,
-    view: DirtyView,
+    dirty: &'a DirtyLog,
     /// Full-recompute mode: first scan, or everything dirty.
     full: bool,
-    /// Hashes of keys (re)computed by dirty instructions earlier in this
-    /// scan. A *clean* instruction's availability lookup can only resolve
-    /// differently than last scan if some earlier instruction's key
-    /// changed **to or from** this instruction's key, or the match's
-    /// version validity flipped — and every one of those events passes
-    /// the key-producing instruction through the recompute path (its
-    /// definition register is marked), landing its key here. A clean
-    /// instruction whose memoized key is absent from this set therefore
-    /// provably repeats last scan's "no rewrite" and skips the lookup
-    /// (hash collisions merely force a redundant lookup). Maintained only
-    /// in incremental scans (`!full`).
-    fresh_keys: FxHashSet<u64>,
-    /// Whether the previous instruction was replayed without a lookup —
-    /// open replayed segments are counted once ([`DirtyLog::note_skip`]).
-    seg_open: bool,
     rekeyed: usize,
     reused: usize,
 }
@@ -357,7 +339,6 @@ fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
     let sdst = ins.sreg_write();
     let vdst = ins.vreg_write();
     // fetch the memoized key, or (re)compute and memoize it
-    let mut replayed = false;
     let key: Option<CachedKey> = {
         let slot = match (sdst, vdst) {
             (Some(r), _) => Some(inc.cache.s_slot(r)),
@@ -365,14 +346,14 @@ fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
             _ => None,
         };
         let def_dirty = match (sdst, vdst) {
-            (Some(r), _) => inc.dirty.s_dirty_at(&inc.view, r),
-            (_, Some(r)) => inc.dirty.v_dirty_at(&inc.view, r),
+            (Some(r), _) => inc.dirty.s_dirty(r),
+            (_, Some(r)) => inc.dirty.v_dirty(r),
             _ => true,
         };
         let reusable = !inc.full
             && !def_dirty
             && matches!(slot, Some(Slot::NonKeyed) | Some(Slot::Keyed(_)))
-            && !reads_dirty(inc.dirty, &inc.view, ins);
+            && !reads_dirty(inc.dirty, ins);
         if reusable {
             inc.reused += 1;
             let cached = match slot {
@@ -389,21 +370,9 @@ fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
                      for {ins:?}"
                 );
             }
-            // Replay fast path: a clean instruction whose key no dirty
-            // instruction re-produced this scan repeats last scan's
-            // lookup miss — only its state effects are applied below.
-            replayed = match &cached {
-                None => true,
-                Some(k) => !inc.fresh_keys.contains(&k.hash),
-            };
             cached
         } else {
             let fresh = instr_key(st, ins).map(CachedKey::new);
-            if let Some(k) = &fresh {
-                if !inc.full {
-                    inc.fresh_keys.insert(k.hash);
-                }
-            }
             if sdst.is_some() || vdst.is_some() {
                 inc.rekeyed += 1;
                 let slot = match &fresh {
@@ -419,26 +388,12 @@ fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
             fresh
         }
     };
-    if replayed {
-        if !inc.seg_open {
-            inc.dirty.note_skip();
-            inc.seg_open = true;
-        }
-    } else {
-        inc.seg_open = false;
-    }
     let mut replaced = false;
     if let Some(k) = &key {
-        if replayed {
-            // availability lookup provably repeats last scan's miss
-        } else if let Some(sdst) = sdst {
+        if let Some(sdst) = sdst {
             if let Some((r, v)) = st.avail_s.get(k) {
                 if st.sver(*r) == *v && *r != sdst {
-                    // the replaced computation's operands each lose a
-                    // read (deadness/single-use elsewhere may change)
-                    super::mark_reads(inc.dirty, ins);
                     *ins = Instr::SMov { dst: sdst, a: (*r).into() };
-                    inc.dirty.mark_s(sdst);
                     replaced = true;
                     // the definition is a plain move now
                     inc.cache.set_s(sdst, Slot::NonKeyed);
@@ -447,9 +402,7 @@ fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
         } else if let Some(vdst) = vdst {
             if let Some((r, v)) = st.avail_v.get(k) {
                 if st.vver(*r) == *v && *r != vdst {
-                    super::mark_reads(inc.dirty, ins);
                     *ins = Instr::VMov { dst: vdst, src: *r };
-                    inc.dirty.mark_v(vdst);
                     replaced = true;
                     inc.cache.set_v(vdst, Slot::NonKeyed);
                 }
@@ -491,46 +444,20 @@ fn process(st: &mut Cse, inc: &mut Inc, ins: &mut Instr) -> bool {
 
 fn walk(stmts: &mut [CStmt], st: &mut Cse, inc: &mut Inc) -> bool {
     let mut changed = false;
-    // Clean-run skipping (block memo): a run with no dirty definition,
-    // operand, or buffer for this pass re-keys to the same keys and
-    // repeats the same (absent) rewrites, so it is skipped wholesale —
-    // availability never crosses the control-flow boundaries that
-    // delimit runs.
-    let mut run_end = 0;
-    let mut run_clean = false;
-    for r in 0..stmts.len() {
-        if r >= run_end {
-            if matches!(stmts[r], CStmt::I(_)) {
-                let (end, clean) = super::scan_run(inc.dirty, &inc.view, stmts, r);
-                run_end = end;
-                run_clean = clean && !inc.full;
-                if run_clean {
-                    inc.dirty.note_skip();
-                }
-            } else {
-                run_end = r + 1;
-                run_clean = false;
-            }
-        }
-        match &mut stmts[r] {
-            CStmt::I(_) if run_clean => {}
+    for s in stmts {
+        match s {
             CStmt::I(ins) => changed |= process(st, inc, ins),
             CStmt::For { body, .. } => {
                 st.reset();
-                inc.seg_open = false;
                 changed |= walk(body, st, inc);
                 st.reset();
-                inc.seg_open = false;
             }
             CStmt::If { then_, else_, .. } => {
                 st.reset();
-                inc.seg_open = false;
                 changed |= walk(then_, st, inc);
                 st.reset();
-                inc.seg_open = false;
                 changed |= walk(else_, st, inc);
                 st.reset();
-                inc.seg_open = false;
             }
         }
     }
@@ -550,35 +477,21 @@ pub fn cse_incremental(
     dirty: &mut DirtyLog,
     round: &mut RoundStats,
 ) -> bool {
-    if cache.init && dirty.is_clean_for(Consumer::Cse) {
+    if cache.init && dirty.is_clean() {
         round.cse_skipped = true;
         return false;
     }
-    let view = dirty.begin(Consumer::Cse);
-    let full = !cache.init || dirty.is_all_at(&view);
+    let full = !cache.init || dirty.is_all();
     if !cache.init {
         cache.prepare(f);
     }
     let mut st = Cse::for_function(f);
-    let mut inc = Inc {
-        cache,
-        dirty,
-        view,
-        full,
-        fresh_keys: FxHashSet::default(),
-        seg_open: false,
-        rekeyed: 0,
-        reused: 0,
-    };
+    let mut inc = Inc { cache, dirty, full, rekeyed: 0, reused: 0 };
     let changed = walk(&mut f.body, &mut st, &mut inc);
     round.cse_rekeyed += inc.rekeyed;
     round.cse_reused += inc.reused;
     cache.init = true;
-    // Commit past this scan's own rewrite marks: a rewrite leaves a plain
-    // move that neither keys nor shifts version numbering, so a rescan of
-    // it is a no-op for CSE (the marks stay visible to the *other*
-    // consumers, which is what they are for).
-    dirty.commit_now(Consumer::Cse);
+    dirty.clear();
     changed
 }
 
@@ -773,7 +686,7 @@ mod tests {
         assert!(cse_incremental(&mut f, &mut cache, &mut dirty, &mut r0));
         assert!(r0.cse_rekeyed > 0);
         assert_eq!(r0.cse_reused, 0, "first scan computes everything");
-        assert!(dirty.is_clean_for(Consumer::Cse), "the scan consumes the dirty log");
+        assert!(dirty.is_clean(), "the scan consumes the dirty log");
         // clean round: whole-pass skip
         let mut r1 = RoundStats::default();
         assert!(!cse_incremental(&mut f, &mut cache, &mut dirty, &mut r1));

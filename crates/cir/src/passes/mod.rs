@@ -15,50 +15,31 @@
 //!    [`contract`], fusing multiply–add chains into FMA instructions
 //!    (the dead multiplies are collected by DCE).
 //!
-//! The cleanup fixpoint is **incremental** on two levels.
-//!
-//! First, CSE re-keys only instructions whose own definition or operands
-//! are dirty, reusing memoized hashed keys for the (typically vast) clean
-//! remainder; a round whose dirty log is empty for CSE skips the scan
-//! entirely.
-//!
-//! Second — the *block memo* ([`PassConfig::block_memo`]) — every cleanup
-//! pass skips whole maximal straight-line runs of instructions in which
-//! nothing is dirty *for that pass*. The [`DirtyLog`] is tick-stamped and
-//! multi-consumer: each mark records a monotone tick, and each pass keeps
-//! a per-consumer cursor of the last tick it has fully processed, so
-//! "dirty" always means "changed since *this* pass last scanned it".
-//! Skipping a clean run is an identity transformation because every
-//! pass's forwarding/availability/copy state resets at control-flow
-//! boundaries (which delimit the runs), register-version comparisons are
-//! run-local equalities (invariant under the bump shifts a skipped run
-//! introduces), and the marking rules below over-approximate every
-//! cross-run coupling (whole-function read counts for DCE deadness and
-//! contract's single-use discipline, cell observability for dead-store
-//! elimination). The dirty-seeding rules:
+//! The cleanup fixpoint is **incremental**: each pass records the
+//! registers and buffers it actually touched into a shared [`DirtyLog`],
+//! and CSE — the most expensive cleanup — re-keys only instructions whose
+//! own definition or operands are dirty, reusing memoized hashed keys for
+//! the (typically vast) clean remainder. A round whose dirty log is empty
+//! skips the CSE scan entirely; every other pass scans the whole function
+//! every round. The dirty-seeding rules are:
 //!
 //! * `forward` rewrite (load → mov/extract/shuffle/blend) → destination
-//!   register dirty *and the load's buffer dirty* (the buffer lost an
-//!   observer, so stores into it may die); dropped load → likewise;
+//!   register dirty; dropped load → its destination dirty (a definition
+//!   disappeared, so reader versions may shift);
 //! * `copyprop` operand substitution → the instruction's destination
-//!   dirty (its key changes) and the substituted-away register dirty (it
-//!   lost a read, so its definition may die);
-//! * `contract` mul→FMA fusion → destination dirty and the fused
-//!   multiply's destination dirty (its single read is gone);
-//! * a CSE rewrite → destination dirty and the replaced computation's
-//!   operand registers dirty (they each lost a read);
-//! * DCE instruction removal → its destination register, its operand
-//!   registers, and any referenced buffer dirty; dead-store removal → the
-//!   stored buffer and the stored value register dirty; removal of an
-//!   emptied `For`/`If` → everything dirty (straight-line regions merge).
+//!   dirty (its key changes; reader keys depend only on versions);
+//! * `contract` mul→FMA fusion → destination dirty;
+//! * DCE instruction removal → its destination register dirty; dead-store
+//!   removal → the stored buffer dirty (load epochs shift); removal of an
+//!   emptied `For`/`If` → everything dirty (straight-line regions merge);
+//! * a CSE rewrite leaves a plain move, which CSE records in its own
+//!   cache rather than the log (the log is cleared after every scan).
 //!
-//! Reusing a cached key (or skipping a run) is sound exactly when the
-//! instruction's content and its operands' version/epoch numbering at
-//! that point are unchanged — the rules above over-approximate both.
-//! Debug builds recompute every reused key and assert equality, and after
-//! the fixpoint converges they re-run one full round with skipping
-//! disabled and assert that it changes nothing, so the pass-equivalence
-//! suite exercises both invariants on every app × target × ν.
+//! Reusing a cached key is sound exactly when the instruction's content
+//! and its operands' version/epoch numbering at that point are unchanged
+//! — the rules above over-approximate both, and debug builds recompute
+//! every reused key and assert equality, so the pass-equivalence suite
+//! exercises the invariant on every app × target × ν.
 //!
 //! An important C-IR invariant exploited here: *distinct [`crate::BufId`]s
 //! never alias*. Operands related by `ow(..)` are mapped to the same buffer
@@ -72,8 +53,8 @@ pub mod forward;
 pub mod rename;
 pub mod unroll;
 
-use crate::func::{CStmt, Function};
-use crate::instr::{Instr, SOperand, SReg, VReg};
+use crate::func::Function;
+use crate::instr::{SReg, VReg};
 use std::time::{Duration, Instant};
 
 /// Dense grow-on-demand tables used by the passes (versions, epochs, read
@@ -91,281 +72,75 @@ pub(crate) fn grow_update<T: Clone + Default>(
     update(&mut v[i]);
 }
 
-/// The cleanup passes that consume the dirty log, each with its own
-/// catch-up cursor (see [`DirtyLog`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub(crate) enum Consumer {
-    Forward = 0,
-    Cse = 1,
-    Contract = 2,
-    Copyprop = 3,
-    Dce = 4,
-}
-
-const N_CONSUMERS: usize = 5;
-
-/// One consumer's frozen window over the [`DirtyLog`], captured by
-/// [`DirtyLog::begin`]: an entry is dirty when it was marked *after* the
-/// consumer's last committed scan (`lo`). Marks made while the window is
-/// open are stamped with later ticks and therefore also read as dirty —
-/// a pass always rescans (next round) what it changed itself, unless it
-/// deliberately commits past its own marks ([`DirtyLog::commit_now`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DirtyView {
-    lo: u64,
-    hi: u64,
-}
-
-/// What the cleanup passes touched, tick-stamped per register/buffer so
-/// several consumers can each track their own "changed since I last
-/// scanned" window (see the module docs for the per-pass seeding rules).
-/// Dense tick tables keep the per-instruction dirty checks
-/// allocation-free.
-#[derive(Debug)]
+/// What the cleanup passes touched since the last CSE scan (see the
+/// module docs for the per-pass seeding rules). Dense bool tables keep
+/// the per-instruction dirty checks allocation-free.
+#[derive(Debug, Default)]
 pub struct DirtyLog {
-    /// Tick of the most recent mark (monotone).
-    tick: u64,
-    /// Tick of the most recent [`DirtyLog::mark_all`] (0 = never).
-    all_tick: u64,
-    sregs: Vec<u64>,
-    vregs: Vec<u64>,
-    bufs: Vec<u64>,
-    /// Per-consumer cursor: every mark at a tick `<= seen[c]` has been
-    /// fully processed by consumer `c`.
-    seen: [u64; N_CONSUMERS],
-    /// Whether clean-run skipping is enabled ([`PassConfig::block_memo`]).
-    skip: bool,
-    /// Straight-line runs (and whole passes) skipped as provably clean.
-    skipped: usize,
-}
-
-impl Default for DirtyLog {
-    /// Everything dirty for every consumer: the safe initial state (a
-    /// fresh log must force full scans).
-    fn default() -> Self {
-        DirtyLog {
-            tick: 1,
-            all_tick: 1,
-            sregs: Vec::new(),
-            vregs: Vec::new(),
-            bufs: Vec::new(),
-            seen: [0; N_CONSUMERS],
-            skip: true,
-            skipped: 0,
-        }
-    }
+    all: bool,
+    marks: usize,
+    sregs: Vec<bool>,
+    vregs: Vec<bool>,
+    bufs: Vec<bool>,
 }
 
 impl DirtyLog {
     /// A log with everything marked dirty (initial state).
     pub fn all_dirty() -> Self {
-        DirtyLog::default()
+        DirtyLog { all: true, ..DirtyLog::default() }
     }
 
     /// Mark a scalar register's definition or versioning as changed.
     pub fn mark_s(&mut self, r: SReg) {
-        self.tick += 1;
-        let t = self.tick;
-        grow_update(&mut self.sregs, r.0, |b| *b = t);
+        self.marks += 1;
+        grow_update(&mut self.sregs, r.0, |b| *b = true);
     }
 
     /// Mark a vector register's definition or versioning as changed.
     pub fn mark_v(&mut self, r: VReg) {
-        self.tick += 1;
-        let t = self.tick;
-        grow_update(&mut self.vregs, r.0, |b| *b = t);
+        self.marks += 1;
+        grow_update(&mut self.vregs, r.0, |b| *b = true);
     }
 
     /// Mark a buffer's store placement (load epochs) as changed.
     pub fn mark_buf(&mut self, b: usize) {
-        self.tick += 1;
-        let t = self.tick;
-        grow_update(&mut self.bufs, b, |x| *x = t);
+        self.marks += 1;
+        grow_update(&mut self.bufs, b, |x| *x = true);
     }
 
     /// Mark everything dirty (control-flow regions merged).
     pub fn mark_all(&mut self) {
-        self.tick += 1;
-        self.all_tick = self.tick;
+        self.all = true;
     }
 
-    /// Whether nothing has been marked since `c` last committed a scan.
-    pub(crate) fn is_clean_for(&self, c: Consumer) -> bool {
-        self.tick <= self.seen[c as usize]
+    /// Whether nothing has been marked since the last [`DirtyLog::clear`].
+    pub fn is_clean(&self) -> bool {
+        !self.all && self.marks == 0
     }
 
-    /// Open `c`'s dirty window (everything marked after its last commit).
-    pub(crate) fn begin(&self, c: Consumer) -> DirtyView {
-        DirtyView { lo: self.seen[c as usize], hi: self.tick }
+    /// Whether everything is dirty.
+    pub fn is_all(&self) -> bool {
+        self.all
     }
 
-    /// Commit `c`'s scan up to where the window was opened: marks made
-    /// *during* the scan (including the pass's own) stay dirty for `c`.
-    pub(crate) fn commit(&mut self, c: Consumer, v: &DirtyView) {
-        self.seen[c as usize] = v.hi;
+    pub(crate) fn s_dirty(&self, r: SReg) -> bool {
+        self.all || self.sregs.get(r.0).copied().unwrap_or(false)
+    }
+    pub(crate) fn v_dirty(&self, r: VReg) -> bool {
+        self.all || self.vregs.get(r.0).copied().unwrap_or(false)
+    }
+    pub(crate) fn buf_dirty(&self, b: usize) -> bool {
+        self.all || self.bufs.get(b).copied().unwrap_or(false)
     }
 
-    /// Commit `c`'s scan up to the present, swallowing the pass's own
-    /// marks. Only sound for a pass whose rescan of its own rewrites is
-    /// provably a no-op (CSE: a rewrite leaves a plain move that neither
-    /// keys nor changes version numbering).
-    pub(crate) fn commit_now(&mut self, c: Consumer) {
-        self.seen[c as usize] = self.tick;
+    /// Forget all marks (the consumer has caught up).
+    pub fn clear(&mut self) {
+        self.all = false;
+        self.marks = 0;
+        self.sregs.iter_mut().for_each(|b| *b = false);
+        self.vregs.iter_mut().for_each(|b| *b = false);
+        self.bufs.iter_mut().for_each(|b| *b = false);
     }
-
-    /// Whether everything is dirty in this window ([`DirtyLog::mark_all`]
-    /// since the consumer's last commit).
-    pub(crate) fn is_all_at(&self, v: &DirtyView) -> bool {
-        self.all_tick > v.lo
-    }
-
-    pub(crate) fn s_dirty_at(&self, v: &DirtyView, r: SReg) -> bool {
-        self.all_tick > v.lo || self.sregs.get(r.0).copied().unwrap_or(0) > v.lo
-    }
-    pub(crate) fn v_dirty_at(&self, v: &DirtyView, r: VReg) -> bool {
-        self.all_tick > v.lo || self.vregs.get(r.0).copied().unwrap_or(0) > v.lo
-    }
-    pub(crate) fn buf_dirty_at(&self, v: &DirtyView, b: usize) -> bool {
-        self.all_tick > v.lo || self.bufs.get(b).copied().unwrap_or(0) > v.lo
-    }
-
-    /// Enable/disable clean-run skipping (the block memo).
-    pub fn set_skip(&mut self, on: bool) {
-        self.skip = on;
-    }
-
-    /// Whether clean-run skipping is enabled.
-    pub(crate) fn skip_enabled(&self) -> bool {
-        self.skip
-    }
-
-    /// Count one skipped clean run (or whole-pass skip).
-    pub(crate) fn note_skip(&mut self) {
-        self.skipped += 1;
-    }
-
-    /// Total clean runs skipped so far (monotone across rounds).
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// Whether any definition, operand register, or referenced buffer of
-    /// `ins` is dirty in `v`. Calls are always treated as dirty (they
-    /// clobber pass state conservatively). Allocation-free: the generic
-    /// read accessors build `Vec`s, which would dominate the prescan.
-    pub(crate) fn instr_dirty_at(&self, v: &DirtyView, ins: &Instr) -> bool {
-        if self.all_tick > v.lo {
-            return true;
-        }
-        let s = |o: &SOperand| matches!(o, SOperand::Reg(r) if self.s_dirty_at(v, *r));
-        match ins {
-            Instr::SMov { dst, a } => self.s_dirty_at(v, *dst) || s(a),
-            Instr::SBin { dst, a, b, .. } => self.s_dirty_at(v, *dst) || s(a) || s(b),
-            Instr::SFma { dst, a, b, c, .. } => self.s_dirty_at(v, *dst) || s(a) || s(b) || s(c),
-            Instr::SSqrt { dst, a } => self.s_dirty_at(v, *dst) || s(a),
-            Instr::SLoad { dst, src } => {
-                self.s_dirty_at(v, *dst) || self.buf_dirty_at(v, src.buf.0)
-            }
-            Instr::SStore { src, dst } => s(src) || self.buf_dirty_at(v, dst.buf.0),
-            Instr::VLoad { dst, base, .. } => {
-                self.v_dirty_at(v, *dst) || self.buf_dirty_at(v, base.buf.0)
-            }
-            Instr::VStore { src, base, .. } => {
-                self.v_dirty_at(v, *src) || self.buf_dirty_at(v, base.buf.0)
-            }
-            Instr::VMov { dst, src } => self.v_dirty_at(v, *dst) || self.v_dirty_at(v, *src),
-            Instr::VBroadcast { dst, src } => self.v_dirty_at(v, *dst) || s(src),
-            Instr::VBin { dst, a, b, .. } => {
-                self.v_dirty_at(v, *dst) || self.v_dirty_at(v, *a) || self.v_dirty_at(v, *b)
-            }
-            Instr::VFma { dst, a, b, c, .. } => {
-                self.v_dirty_at(v, *dst)
-                    || self.v_dirty_at(v, *a)
-                    || self.v_dirty_at(v, *b)
-                    || self.v_dirty_at(v, *c)
-            }
-            Instr::VShuffle { dst, a, b, .. } | Instr::VBlend { dst, a, b, .. } => {
-                self.v_dirty_at(v, *dst) || self.v_dirty_at(v, *a) || self.v_dirty_at(v, *b)
-            }
-            Instr::VExtract { dst, src, .. } => {
-                self.s_dirty_at(v, *dst) || self.v_dirty_at(v, *src)
-            }
-            Instr::VReduceAdd { dst, src } => self.s_dirty_at(v, *dst) || self.v_dirty_at(v, *src),
-            Instr::Call { .. } => true,
-        }
-    }
-}
-
-/// Mark every operand register of `ins` (it lost a read) and, for loads,
-/// its buffer (it lost an observer) — the strengthened removal rule (see
-/// module docs).
-pub(crate) fn mark_reads(dirty: &mut DirtyLog, ins: &Instr) {
-    let s = |o: &SOperand, dirty: &mut DirtyLog| {
-        if let SOperand::Reg(r) = o {
-            dirty.mark_s(*r);
-        }
-    };
-    match ins {
-        Instr::SMov { a, .. } | Instr::SSqrt { a, .. } => s(a, dirty),
-        Instr::SBin { a, b, .. } => {
-            s(a, dirty);
-            s(b, dirty);
-        }
-        Instr::SFma { a, b, c, .. } => {
-            s(a, dirty);
-            s(b, dirty);
-            s(c, dirty);
-        }
-        Instr::SStore { src, dst } => {
-            s(src, dirty);
-            dirty.mark_buf(dst.buf.0);
-        }
-        Instr::SLoad { src, .. } => dirty.mark_buf(src.buf.0),
-        Instr::VLoad { base, .. } => dirty.mark_buf(base.buf.0),
-        Instr::VStore { src, base, .. } => {
-            dirty.mark_v(*src);
-            dirty.mark_buf(base.buf.0);
-        }
-        Instr::VMov { src, .. } | Instr::VExtract { src, .. } | Instr::VReduceAdd { src, .. } => {
-            dirty.mark_v(*src)
-        }
-        Instr::VBroadcast { src, .. } => s(src, dirty),
-        Instr::VBin { a, b, .. } | Instr::VShuffle { a, b, .. } | Instr::VBlend { a, b, .. } => {
-            dirty.mark_v(*a);
-            dirty.mark_v(*b);
-        }
-        Instr::VFma { a, b, c, .. } => {
-            dirty.mark_v(*a);
-            dirty.mark_v(*b);
-            dirty.mark_v(*c);
-        }
-        Instr::Call { .. } => dirty.mark_all(),
-    }
-}
-
-/// Prescan the maximal straight-line run starting at `stmts[start]`
-/// (which must be an instruction): returns `(end, clean)` where `end` is
-/// the exclusive index of the first non-instruction statement and
-/// `clean` is whether the *whole* run is clean in `view` (and skipping
-/// is enabled). Runs are atomic: a dirty prefix poisons the suffix,
-/// because the suffix was last scanned under the old prefix state.
-pub(crate) fn scan_run(
-    log: &DirtyLog,
-    view: &DirtyView,
-    stmts: &[CStmt],
-    start: usize,
-) -> (usize, bool) {
-    let mut clean = log.skip;
-    let mut i = start;
-    while i < stmts.len() {
-        let CStmt::I(ins) = &stmts[i] else { break };
-        if clean && log.instr_dirty_at(view, ins) {
-            clean = false;
-        }
-        i += 1;
-    }
-    (i, clean)
 }
 
 /// Toggles for the optimization pipeline (ablation switches).
@@ -384,11 +159,6 @@ pub struct PassConfig {
     /// [`contract`]). Off by default; the driver enables it when the
     /// generation target has FMA ([`crate::Target::has_fma`]).
     pub fma_contraction: bool,
-    /// Skip straight-line runs that are provably clean for each cleanup
-    /// pass (see the block-memo notes in the module docs). On by
-    /// default; turning it off restores full per-round scans (used by
-    /// the byte-identity test suite as the reference path).
-    pub block_memo: bool,
     /// Maximum number of cleanup iterations; the loop exits early once a
     /// full round reaches a fixpoint (changes nothing). The cap is a
     /// safety net, not the expected exit: [`PipelineStats::converged`]
@@ -408,7 +178,6 @@ impl Default for PassConfig {
             scalar_replacement: true,
             cse: true,
             fma_contraction: false,
-            block_memo: true,
             iterations: 16,
         }
     }
@@ -424,7 +193,6 @@ impl PassConfig {
             scalar_replacement: false,
             cse: false,
             fma_contraction: false,
-            block_memo: true,
             iterations: 1,
         }
     }
@@ -447,8 +215,9 @@ pub struct RoundStats {
     pub cse_reused: usize,
     /// Whether the CSE scan was skipped outright (empty dirty log).
     pub cse_skipped: bool,
-    /// Clean straight-line runs (and whole-pass skips) this round, summed
-    /// over all cleanup passes (the block memo; see module docs).
+    /// Always 0. The cleanup passes no longer skip clean straight-line
+    /// runs (only CSE is incremental, per instruction); the field stays so
+    /// that readers of per-round telemetry keep compiling.
     pub blocks_skipped: usize,
     /// Whether any pass changed the function this round.
     pub changed: bool,
@@ -468,23 +237,14 @@ pub struct PipelineStats {
 
 /// Run the full Stage-3 pipeline over `f`.
 pub fn optimize(f: &mut Function, config: &PassConfig) {
-    optimize_traced(f, config, &mut |_, _| {});
+    optimize_with_stats(f, config, &mut |_, _| {});
 }
 
 /// Like [`optimize`], additionally invoking `observe(pass_name, elapsed)`
-/// after every pass.
-pub fn optimize_traced(
-    f: &mut Function,
-    config: &PassConfig,
-    observe: &mut dyn FnMut(&str, Duration),
-) {
-    optimize_with_stats(f, config, observe);
-}
-
-/// Like [`optimize_traced`], additionally returning [`PipelineStats`].
-/// This is the single source of truth for per-pass timing and fixpoint
-/// breakdowns (the `bench --passes` tracker uses it), so instrumentation
-/// cannot drift from the pipeline actually shipped.
+/// after every pass and returning [`PipelineStats`]. This is the single
+/// source of truth for per-pass timing and fixpoint breakdowns (the
+/// `bench --passes` tracker uses it), so instrumentation cannot drift
+/// from the pipeline actually shipped.
 pub fn optimize_with_stats(
     f: &mut Function,
     config: &PassConfig,
@@ -500,15 +260,13 @@ pub fn optimize_with_stats(
     rename::rename(f);
     observe("rename", t.elapsed());
     let mut stats = PipelineStats::default();
-    // Tick-stamped record of what each pass touched; every pass keeps its
-    // own catch-up cursor, and the first scans see everything dirty.
+    // What the passes touched since the last CSE scan; the first scan
+    // sees everything dirty.
     let mut dirty = DirtyLog::all_dirty();
-    dirty.set_skip(config.block_memo);
     let mut cache = cse::CseCache::default();
     for _ in 0..config.iterations.max(1) {
         let mut changed = false;
         let mut round = RoundStats::default();
-        let skipped_before = dirty.skipped();
         if config.scalar_replacement || config.load_store_analysis {
             let t = Instant::now();
             changed |= forward::forward_tracked(
@@ -535,7 +293,6 @@ pub fn optimize_with_stats(
         let t = Instant::now();
         changed |= dce::dce_tracked(f, &mut dirty);
         observe("dce", t.elapsed());
-        round.blocks_skipped = dirty.skipped() - skipped_before;
         round.changed = changed;
         stats.rounds.push(round);
         if !changed {
@@ -547,36 +304,6 @@ pub fn optimize_with_stats(
         stats.converged || config.iterations <= stats.rounds.len(),
         "fixpoint bookkeeping out of sync"
     );
-    // The block-memo invariant, PR 6 style: a skipped run must be one the
-    // pass would not have changed. Debug builds re-run one full round
-    // with skipping disabled and require a clean fixpoint.
-    #[cfg(debug_assertions)]
-    if stats.converged && config.block_memo {
-        let mut vlog = DirtyLog::all_dirty();
-        vlog.set_skip(false);
-        let mut vchanged = false;
-        if config.scalar_replacement || config.load_store_analysis {
-            vchanged |= forward::forward_tracked(
-                f,
-                config.load_store_analysis,
-                config.scalar_replacement,
-                &mut vlog,
-            );
-        }
-        if config.cse {
-            vchanged |= cse::cse(f);
-        }
-        if config.fma_contraction {
-            vchanged |= contract::contract_tracked(f, &mut vlog);
-        }
-        vchanged |= forward::copyprop_tracked(f, &mut vlog);
-        vchanged |= dce::dce_tracked(f, &mut vlog);
-        debug_assert!(
-            !vchanged,
-            "block-memoized fixpoint is not a fixpoint of the full passes \
-             (a clean-run skip hid a pending rewrite)"
-        );
-    }
     stats
 }
 

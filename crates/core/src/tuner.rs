@@ -46,7 +46,7 @@ use crate::cache::{CachedWin, Claim, PersistedWin};
 pub use crate::cache::{ShardStats, TuneCache};
 use crate::pipeline::{measure, Generated, Options, DEFAULT_LOOP_THRESHOLD};
 use crate::Error;
-use slingen_cir::passes::optimize_with_stats;
+use slingen_cir::passes::optimize;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
 use slingen_lgen::{lower_program_profiled, LowerOptions, LowerProfile};
@@ -239,11 +239,6 @@ pub struct TuneStats {
     /// Whether the entry originated from a persisted cache file
     /// ([`TuneCache::load`]) rather than a search in this process.
     pub persisted: bool,
-    /// Straight-line blocks (and whole pass invocations) the Stage-3
-    /// block memo proved clean and replayed instead of re-scanning,
-    /// summed over every representative lowering of the search
-    /// ([`slingen_cir::passes::RoundStats::blocks_skipped`]).
-    pub blocks_reused: usize,
     /// Measurements abandoned before the VM even ran because the static
     /// pressure bound ([`slingen_perf::pressure_lower_bound`]) already
     /// exceeded the incumbent's cycle budget.
@@ -387,29 +382,27 @@ pub(crate) fn lower_variant_profiled(
     basic: &BasicProgram,
     options: &Options,
 ) -> Result<(Function, LowerProfile), Error> {
-    lower_variant_timed(program, spec, basic, options).map(|(f, p, _, _, _)| (f, p))
+    lower_variant_timed(program, spec, basic, options).map(|(f, p, _, _)| (f, p))
 }
 
 /// [`lower_variant_profiled`], additionally reporting how long Stage 2
 /// (lowering) and Stage 3 (the optimization pipeline) took, in
 /// milliseconds — the per-representative cost breakdown surfaced through
-/// [`RepCost`] — and how many clean blocks the Stage-3 block memo
-/// skipped ([`TuneStats::blocks_reused`]).
+/// [`RepCost`].
 fn lower_variant_timed(
     program: &Program,
     spec: VariantSpec,
     basic: &BasicProgram,
     options: &Options,
-) -> Result<(Function, LowerProfile, f64, f64, usize), Error> {
+) -> Result<(Function, LowerProfile, f64, f64), Error> {
     let t0 = std::time::Instant::now();
     let (mut function, profile) =
         lower_program_profiled(program, basic, program.name(), &spec.lower_options())?;
     let lower_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = std::time::Instant::now();
-    let stats = optimize_with_stats(&mut function, &options.passes_for_target(), &mut |_, _| {});
+    optimize(&mut function, &options.passes_for_target());
     let opt_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let blocks_skipped = stats.rounds.iter().map(|r| r.blocks_skipped).sum();
-    Ok((function, profile, lower_ms, opt_ms, blocks_skipped))
+    Ok((function, profile, lower_ms, opt_ms))
 }
 
 /// The dedupe key of one lowered body: a 64-bit digest of the emitted C
@@ -459,8 +452,6 @@ struct RepOut {
     measured: Option<Result<Option<Report>, Error>>,
     /// (lower_ms, opt_ms, measure_ms) — the [`RepCost`] breakdown.
     timings: (f64, f64, f64),
-    /// Clean blocks the Stage-3 block memo skipped in this lowering.
-    blocks_skipped: usize,
     /// Whether the measurement was cut off by the static pressure bound
     /// without running the VM ([`TuneStats::lb_pruned`]).
     lb_pruned: bool,
@@ -654,7 +645,7 @@ impl<'p> Search<'p> {
                         let basic = basics[i].clone().expect("pending items have basics");
                         scope.spawn(move || {
                             let r = lower_variant_timed(program, spec, &basic, options).map(
-                                |(f, profile, lower_ms, opt_ms, blocks_skipped)| {
+                                |(f, profile, lower_ms, opt_ms)| {
                                     let key = body_key(&f, options.target);
                                     let mut lb_pruned = false;
                                     let (m, measure_ms) = if measured.contains_key(&key) {
@@ -696,7 +687,6 @@ impl<'p> Search<'p> {
                                         key,
                                         measured: m,
                                         timings: (lower_ms, opt_ms, measure_ms),
-                                        blocks_skipped,
                                         lb_pruned,
                                     }
                                 },
@@ -723,11 +713,9 @@ impl<'p> Search<'p> {
                         key,
                         measured: m,
                         timings: (lower_ms, opt_ms, measure_ms),
-                        blocks_skipped,
                         lb_pruned,
                     }) => {
                         self.rep_costs.push(RepCost { spec, lower_ms, opt_ms, measure_ms });
-                        self.stats.blocks_reused += blocks_skipped;
                         if lb_pruned {
                             self.stats.lb_pruned += 1;
                         }

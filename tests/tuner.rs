@@ -2,8 +2,10 @@
 //! optimum of its space, deterministically, on every paper app.
 
 use proptest::prelude::*;
-use slingen::{apps, generate_with_spec, Options, SearchSpace, Strategy};
+use slingen::{apps, generate_with_spec, Options, SearchSpace, Strategy, Target, VariantSpec};
 use slingen_ir::Program;
+use slingen_perf::pressure_lower_bound;
+use slingen_synth::Policy;
 
 fn paper_apps() -> Vec<(&'static str, Program)> {
     vec![
@@ -47,13 +49,38 @@ fn tuned_winner_never_loses_to_the_two_policy_fanout() {
     for (name, program) in paper_apps() {
         let opts = Options::default();
         let tuned = slingen::generate(&program, &opts).unwrap();
-        for policy in slingen_synth::Policy::ALL {
+        for policy in Policy::ALL {
             let old = slingen::generate_with_policy(&program, policy, &opts).unwrap();
             assert!(
                 tuned.report.cycles <= old.report.cycles + 1e-9,
                 "{name}: tuned {} loses to 2-policy winner {policy}",
                 tuned.spec
             );
+        }
+    }
+}
+
+/// The static pressure bound behind the tuner's incumbent cutoff never
+/// exceeds the measured makespan, on every app × target × ν × policy: the
+/// "prune" really is a lower bound, so skipping the VM for `lb > budget`
+/// variants can only drop losers.
+#[test]
+fn pressure_lower_bound_never_exceeds_the_makespan() {
+    for (name, program) in paper_apps() {
+        for target in Target::ALL {
+            let opts = Options::for_target(target);
+            for &nu in target.widths() {
+                for policy in Policy::ALL {
+                    let spec = VariantSpec { policy, nu, loop_threshold: 64 };
+                    let g = generate_with_spec(&program, spec, &opts).unwrap();
+                    let lb = pressure_lower_bound(&g.function, &opts.machine);
+                    assert!(
+                        lb <= g.report.cycles + 1e-9,
+                        "{name}/{target}/{spec}: pressure bound {lb} exceeds measured makespan {}",
+                        g.report.cycles
+                    );
+                }
+            }
         }
     }
 }
