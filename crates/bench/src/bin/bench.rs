@@ -464,12 +464,11 @@ fn main() {
             eprintln!("tuning {name} ...");
             let t = measure_tune(name, program);
             eprintln!(
-                "  winner {:16} explored {:2} (pruned {:2}, deduped {:2}, predicted {:2})  \
+                "  winner {:16} explored {:2} (pruned {:2}, predicted {:2})  \
                  cold {:8.3} ms  cached {:8.4} ms  ({:.0}x)  cache hit rate {:.2}",
                 t.spec,
                 t.explored,
                 t.pruned,
-                t.deduped,
                 t.predicted,
                 t.cold_ms,
                 t.cached_ms,

@@ -12,8 +12,6 @@
 //! * unblocked LAPACK-style routines: Cholesky (`dpotrf`), triangular
 //!   inversion (`dtrtri`), triangular Sylvester (`dtrsyl`) and Lyapunov
 //!   (`dtrlya`) solvers, LU (`dgetrf_nopiv`);
-//! * recursive variants in the style of ReLAPACK and RECSY
-//!   ([`recursive`]);
 //! * deterministic workload generators (SPD matrices, well-conditioned
 //!   triangular factors) used throughout the test and benchmark suites.
 //!
@@ -26,7 +24,6 @@ pub mod blas2;
 pub mod blas3;
 pub mod lapack;
 pub mod mat;
-pub mod recursive;
 pub mod testgen;
 
 pub use blas1::{dasum, daxpy, ddot, dnrm2, dscal};

@@ -36,11 +36,13 @@
 //! every other threshold is computed exactly — variants predicted to
 //! produce a byte-identical body skip Stage 2/3 entirely and share the
 //! representative's measurement ([`TuneStats::predicted`]; debug builds
-//! re-lower and assert the digests really collide). Unpredicted
-//! byte-collisions (across policies) are still caught after lowering by
-//! the emitted-C digest ([`TuneStats::deduped`]). Representatives run
-//! lowering, optimization, digest, and measurement end-to-end in one
-//! thread per variant — no cross-stage barrier.
+//! re-lower and assert the digests really collide). A body is identified
+//! by the representative that lowered it, not by its emitted C: every
+//! representative is measured, even one whose body happens to match
+//! another's (across policies). The model is deterministic, so such a
+//! duplicate measures to the identical [`Report`] and the ranking cannot
+//! change. Representatives run lowering, optimization, and measurement
+//! end-to-end in one thread per variant — no cross-stage barrier.
 
 use crate::cache::{CachedWin, Claim, PersistedWin};
 pub use crate::cache::{ShardStats, TuneCache};
@@ -214,16 +216,16 @@ impl SearchSpace {
 /// How the winner of one `generate()` call was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TuneStats {
-    /// Variants evaluated against a measurement (including cut-off,
-    /// deduplicated, and predicted variants).
+    /// Variants evaluated against a measurement (including cut-off and
+    /// predicted variants): `explored = measured representatives +
+    /// cut-off representatives + predicted`.
     pub explored: usize,
     /// Variants abandoned by the cycle-budget early-cutoff.
     pub pruned: usize,
-    /// Variants that were lowered and whose Stage-3 output turned out
-    /// byte-identical to an already-measured variant; their measurement
-    /// was reused, not repeated. Disjoint from `predicted`:
-    /// `explored = measured + cut-off representatives + deduped +
-    /// predicted`.
+    /// Always 0 for a new search: every lowered representative is
+    /// measured, so none is deduplicated by its emitted C. The field
+    /// stays because the persisted cache's `stats` line carries it, and
+    /// entries written by older generators may hold a nonzero count.
     pub deduped: usize,
     /// Variants *predicted* byte-identical to an already-lowered variant
     /// from its group's [`LowerProfile`] (equal loop-threshold class at
@@ -265,12 +267,10 @@ pub struct HwTrial {
 }
 
 /// Where one representative's cold time went, in milliseconds: Stage 2
-/// lowering, Stage 3 optimization, and the modeled-cycle measurement
-/// (`measure_ms == 0.0` when the lowered body digested onto an
-/// already-measured sibling). Representatives are the only variants that
-/// pay these costs — predicted and deduped variants ride along for free —
-/// so this list is the complete cold-time ledger of one search. Cache
-/// hits carry an empty list.
+/// lowering, Stage 3 optimization, and the modeled-cycle measurement.
+/// Representatives are the only variants that pay these costs — predicted
+/// variants ride along for free — so this list is the complete cold-time
+/// ledger of one search. Cache hits carry an empty list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepCost {
     /// The representative's variant.
@@ -405,19 +405,7 @@ fn lower_variant_timed(
     Ok((function, profile, lower_ms, opt_ms))
 }
 
-/// The dedupe key of one lowered body: a 64-bit digest of the emitted C
-/// plus its length (collision guard). The digest is computed by streaming
-/// the unparse bytes straight into the hasher
-/// ([`slingen_cir::unparse::digest_c_for`]) — the multi-megabyte C string
-/// is never materialized during the search, only when a winner is emitted.
-type BodyKey = (u64, usize);
-
-/// Digest the lowered Stage-3 output of `function` for `target`.
-fn body_key(function: &Function, target: Target) -> BodyKey {
-    slingen_cir::unparse::digest_c_for(function, target)
-}
-
-/// The remembered measurement of one distinct lowered body.
+/// The remembered measurement of one lowered body.
 #[derive(Debug, Clone)]
 enum MeasureOutcome {
     /// Full report (boxed: the other variants are unit-sized).
@@ -430,26 +418,32 @@ enum MeasureOutcome {
     Failed,
 }
 
+/// One representative's lowered body, at its index in [`Search::bodies`].
+struct Body {
+    function: Function,
+    outcome: MeasureOutcome,
+    /// Lowest-ord spec that landed on this body — the stage-two hardware
+    /// ranking labels each kernel with this spec.
+    label: (usize, VariantSpec),
+}
+
 /// The resolution of one batch item, filled in as the waves of
 /// [`Search::evaluate`] complete.
 enum Slot {
-    /// Synthesis, lowering, or the debug backstop failed.
+    /// Synthesis or lowering failed.
     Err(Error),
-    /// The variant resolved to a lowered body. `predicted` variants never
-    /// ran Stage 2/3 — their key came from the group's [`LowerProfile`]
-    /// classification.
-    Done { key: BodyKey, predicted: bool },
+    /// The variant resolved to a lowered body (an index into
+    /// [`Search::bodies`]). `predicted` variants never ran Stage 2/3 —
+    /// their body came from the group's [`LowerProfile`] classification.
+    Done { body: usize, predicted: bool },
 }
 
 /// What one representative thread produces: the lowered function, its
-/// Stage-2 profile, the body digest, and the measurement it ran inline
-/// (`None` when the body was already measured).
+/// Stage-2 profile, and the measurement it ran inline.
 struct RepOut {
     function: Function,
     profile: LowerProfile,
-    key: BodyKey,
-    /// The measurement this thread ran (`None`: body already measured).
-    measured: Option<Result<Option<Report>, Error>>,
+    measured: Result<Option<Report>, Error>,
     /// (lower_ms, opt_ms, measure_ms) — the [`RepCost`] breakdown.
     timings: (f64, f64, f64),
     /// Whether the measurement was cut off by the static pressure bound
@@ -459,16 +453,15 @@ struct RepOut {
 
 type RepResult = Result<RepOut, Error>;
 
-/// The incumbent: the winning spec plus the digest under which its
-/// lowered body is retained in [`Search::body_fns`]. The `Function`
-/// itself is *not* cloned per improvement — it is materialized once, at
-/// [`Search::into_generated`].
+/// The incumbent: the winning spec plus the index of its lowered body in
+/// [`Search::bodies`]. The `Function` itself is *not* cloned per
+/// improvement — it is materialized once, at [`Search::into_generated`].
 struct Best {
     spec: VariantSpec,
     report: Report,
     /// Canonical enumeration index (ties break on it).
     ord: usize,
-    key: BodyKey,
+    body: usize,
 }
 
 /// The search state: the visited set, the incumbent, and exploration
@@ -482,27 +475,19 @@ struct Search<'p> {
     /// Specs already attempted (measured, cut off, or failed); a spec is
     /// never evaluated twice within one search.
     visited: HashSet<VariantSpec>,
-    /// Measurements by lowered-body digest ([`body_key`]): variants whose
-    /// Stage-3 output is byte-identical are measured once and share the
-    /// outcome (ROADMAP PR-2 lead — equal-threshold variants often
-    /// collapse at small sizes).
-    measured: HashMap<BodyKey, MeasureOutcome>,
+    /// Every representative's lowered body and measurement, in join
+    /// order. Retaining the `Function` materializes the winner without
+    /// re-lowering and without per-improvement clones.
+    bodies: Vec<Body>,
     /// First recorded Stage-2 profile per (policy, ν) group. The works
     /// values are threshold-independent, so one profile classifies every
     /// loop threshold of its group exactly.
     profiles: HashMap<(Policy, usize), LowerProfile>,
-    /// Lowered-body digest per (policy, ν, loop-threshold class): a
-    /// variant landing on a recorded class is a *predicted* collision and
-    /// skips Stage 2/3 entirely.
-    class_bodies: HashMap<(Policy, usize, usize), BodyKey>,
-    /// One retained `Function` per distinct lowered body, so the winner
-    /// is materialized without re-lowering and without per-improvement
-    /// clones.
-    body_fns: HashMap<BodyKey, Function>,
+    /// Body per (policy, ν, loop-threshold class): a variant landing on a
+    /// recorded class is a *predicted* collision, skips Stage 2/3
+    /// entirely, and shares the representative's measurement.
+    class_bodies: HashMap<(Policy, usize, usize), usize>,
     best: Option<Best>,
-    /// Lowest-ord spec that landed on each measured body — the stage-two
-    /// hardware ranking labels each distinct kernel with this spec.
-    body_best: HashMap<BodyKey, (usize, VariantSpec)>,
     stats: TuneStats,
     /// Per-representative cost ledger, in wave completion order.
     rep_costs: Vec<RepCost>,
@@ -526,12 +511,10 @@ impl<'p> Search<'p> {
             synth: Synthesizer::new(program),
             order,
             visited: HashSet::new(),
-            measured: HashMap::new(),
+            bodies: Vec::new(),
             profiles: HashMap::new(),
             class_bodies: HashMap::new(),
-            body_fns: HashMap::new(),
             best: None,
-            body_best: HashMap::new(),
             stats: TuneStats::default(),
             rep_costs: Vec::new(),
             hw_trials: Vec::new(),
@@ -545,11 +528,11 @@ impl<'p> Search<'p> {
     /// predicted collisions resolve instantly without Stage 2/3 — and
     /// claims one representative per unresolved (policy, ν) group or
     /// unseen loop-threshold class. Representatives run lowering,
-    /// Stage-3 optimization, digest, and (if the body is new)
-    /// measurement end-to-end in one thread each, with no cross-stage
-    /// barrier. Updates the incumbent deterministically (strict min
-    /// cycles, ties broken by canonical enumeration order): accounting
-    /// runs in batch order regardless of wave scheduling.
+    /// Stage-3 optimization, and measurement end-to-end in one thread
+    /// each, with no cross-stage barrier. Updates the incumbent
+    /// deterministically (strict min cycles, ties broken by canonical
+    /// enumeration order): accounting runs in batch order regardless of
+    /// wave scheduling.
     fn evaluate(&mut self, specs: &[VariantSpec], budget: Option<f64>) {
         let fresh: Vec<VariantSpec> =
             specs.iter().copied().filter(|s| self.visited.insert(*s)).collect();
@@ -560,10 +543,6 @@ impl<'p> Search<'p> {
         }
         let program = self.program;
         let options = self.options;
-        // Bodies that were already measured before this batch started:
-        // any variant landing on one of them is shared, never a
-        // representative, matching the historical accounting.
-        let pre_batch: HashSet<BodyKey> = self.measured.keys().copied().collect();
 
         let mut batch_specs: Vec<VariantSpec> = Vec::with_capacity(todo.len());
         let mut basics: Vec<Option<Arc<BasicProgram>>> = Vec::with_capacity(todo.len());
@@ -600,17 +579,18 @@ impl<'p> Search<'p> {
                 match self.profiles.get(&group) {
                     Some(profile) => {
                         let class = profile.loop_class(spec.loop_threshold);
-                        if let Some(&key) = self.class_bodies.get(&(spec.policy, spec.nu, class)) {
+                        if let Some(&body) = self.class_bodies.get(&(spec.policy, spec.nu, class)) {
                             // Predicted collision: skip Stage 2/3. Debug
                             // builds re-lower and prove the prediction.
                             #[cfg(debug_assertions)]
                             {
+                                use slingen_cir::unparse::digest_c_for;
                                 let basic = basics[i].as_ref().expect("pending items have basics");
                                 let (f, p) = lower_variant_profiled(program, spec, basic, options)
                                     .expect("predicted variant must lower like its representative");
                                 debug_assert_eq!(
-                                    body_key(&f, options.target),
-                                    key,
+                                    digest_c_for(&f, options.target),
+                                    digest_c_for(&self.bodies[body].function, options.target),
                                     "LowerProfile predicted a collision that does not hold for {spec}"
                                 );
                                 debug_assert_eq!(
@@ -618,7 +598,7 @@ impl<'p> Search<'p> {
                                     "LowerProfile differs across thresholds of one (policy, ν) group"
                                 );
                             }
-                            slots[i] = Some(Slot::Done { key, predicted: true });
+                            slots[i] = Some(Slot::Done { body, predicted: true });
                         } else if claimed_classes.insert((spec.policy, spec.nu, class)) {
                             reps.push(i);
                         } else {
@@ -634,9 +614,7 @@ impl<'p> Search<'p> {
                     }
                 }
             }
-            // One thread per representative: lower → digest → measure
-            // (measurement is skipped when the body is already known).
-            let measured = &self.measured;
+            // One thread per representative: lower → measure.
             let results: Vec<(usize, RepResult)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = reps
                     .iter()
@@ -646,46 +624,37 @@ impl<'p> Search<'p> {
                         scope.spawn(move || {
                             let r = lower_variant_timed(program, spec, &basic, options).map(
                                 |(f, profile, lower_ms, opt_ms)| {
-                                    let key = body_key(&f, options.target);
+                                    let t = std::time::Instant::now();
                                     let mut lb_pruned = false;
-                                    let (m, measure_ms) = if measured.contains_key(&key) {
-                                        (None, 0.0)
-                                    } else {
-                                        let t = std::time::Instant::now();
-                                        // Incumbent fast path: when a cycle
-                                        // budget is set and the static
-                                        // pressure bound already exceeds it,
-                                        // the budgeted VM run is guaranteed
-                                        // to be abandoned — skip it. Debug
-                                        // builds run the VM anyway and
-                                        // prove the prediction.
-                                        let m = match budget {
-                                            Some(b)
-                                                if pressure_lower_bound(&f, &options.machine)
-                                                    > b =>
-                                            {
-                                                lb_pruned = true;
-                                                #[cfg(debug_assertions)]
-                                                debug_assert!(
-                                                    matches!(
-                                                        measure(program, &f, options, budget),
-                                                        Ok(None)
-                                                    ),
-                                                    "pressure_lower_bound exceeded the budget \
-                                                     but the budgeted VM run was not cut off \
-                                                     for {spec}"
-                                                );
-                                                Ok(None)
-                                            }
-                                            _ => measure(program, &f, options, budget),
-                                        };
-                                        (Some(m), t.elapsed().as_secs_f64() * 1e3)
+                                    // Incumbent fast path: when a cycle budget
+                                    // is set and the static pressure bound
+                                    // already exceeds it, the budgeted VM run
+                                    // is guaranteed to be abandoned — skip it.
+                                    // Debug builds run the VM anyway and prove
+                                    // the prediction.
+                                    let measured = match budget {
+                                        Some(b)
+                                            if pressure_lower_bound(&f, &options.machine) > b =>
+                                        {
+                                            lb_pruned = true;
+                                            #[cfg(debug_assertions)]
+                                            debug_assert!(
+                                                matches!(
+                                                    measure(program, &f, options, budget),
+                                                    Ok(None)
+                                                ),
+                                                "pressure_lower_bound exceeded the budget but \
+                                                 the budgeted VM run was not cut off for {spec}"
+                                            );
+                                            Ok(None)
+                                        }
+                                        _ => measure(program, &f, options, budget),
                                     };
+                                    let measure_ms = t.elapsed().as_secs_f64() * 1e3;
                                     RepOut {
                                         function: f,
                                         profile,
-                                        key,
-                                        measured: m,
+                                        measured,
                                         timings: (lower_ms, opt_ms, measure_ms),
                                         lb_pruned,
                                     }
@@ -700,18 +669,16 @@ impl<'p> Search<'p> {
                     .map(|h| h.join().expect("autotune variant thread panicked"))
                     .collect()
             });
-            // Join in wave order (ascending batch index): the first
-            // writer wins on every shared map, which is deterministic
-            // because wave membership follows batch order.
+            // Join in wave order (ascending batch index), so body indices
+            // and the first writer on every shared map are deterministic.
             for (i, r) in results {
                 let spec = batch_specs[i];
                 match r {
                     Err(e) => slots[i] = Some(Slot::Err(e)),
                     Ok(RepOut {
-                        function: f,
+                        function,
                         profile,
-                        key,
-                        measured: m,
+                        measured,
                         timings: (lower_ms, opt_ms, measure_ms),
                         lb_pruned,
                     }) => {
@@ -719,22 +686,21 @@ impl<'p> Search<'p> {
                         if lb_pruned {
                             self.stats.lb_pruned += 1;
                         }
+                        let body = self.bodies.len();
                         let class = profile.loop_class(spec.loop_threshold);
                         self.profiles.entry((spec.policy, spec.nu)).or_insert(profile);
-                        self.class_bodies.entry((spec.policy, spec.nu, class)).or_insert(key);
-                        self.body_fns.entry(key).or_insert(f);
-                        if let Some(m) = m {
-                            let outcome = match m {
-                                Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),
-                                Ok(None) => MeasureOutcome::CutOff,
-                                Err(e) => {
-                                    self.last_err = Some(e);
-                                    MeasureOutcome::Failed
-                                }
-                            };
-                            self.measured.entry(key).or_insert(outcome);
-                        }
-                        slots[i] = Some(Slot::Done { key, predicted: false });
+                        self.class_bodies.entry((spec.policy, spec.nu, class)).or_insert(body);
+                        let outcome = match measured {
+                            Ok(Some(report)) => MeasureOutcome::Measured(Box::new(report)),
+                            Ok(None) => MeasureOutcome::CutOff,
+                            Err(e) => {
+                                self.last_err = Some(e);
+                                MeasureOutcome::Failed
+                            }
+                        };
+                        let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
+                        self.bodies.push(Body { function, outcome, label: (ord, spec) });
+                        slots[i] = Some(Slot::Done { body, predicted: false });
                     }
                 }
             }
@@ -742,34 +708,22 @@ impl<'p> Search<'p> {
         }
 
         // Account every variant of the batch, in canonical batch order,
-        // against the shared measurements. The first variant in batch
-        // order to surface each new body is its accounting
-        // representative; everything else on that body is shared.
-        let mut batch_first: HashSet<BodyKey> = HashSet::new();
+        // against its body's measurement.
         for (i, slot) in slots.into_iter().enumerate() {
             match slot.expect("every batch item resolves to a slot") {
                 Slot::Err(e) => self.last_err = Some(e),
-                Slot::Done { key, predicted } => {
+                Slot::Done { body, predicted } => {
                     let spec = batch_specs[i];
-                    let shared = pre_batch.contains(&key) || !batch_first.insert(key);
-                    match self.measured.get(&key) {
-                        Some(MeasureOutcome::Measured(report)) => {
+                    let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
+                    let entry = &mut self.bodies[body];
+                    match &entry.outcome {
+                        MeasureOutcome::Measured(report) => {
                             self.stats.explored += 1;
-                            if predicted {
-                                self.stats.predicted += 1;
-                            } else if shared {
-                                self.stats.deduped += 1;
+                            self.stats.predicted += usize::from(predicted);
+                            if ord < entry.label.0 {
+                                entry.label = (ord, spec);
                             }
                             let cycles = report.cycles;
-                            let ord = self.order.get(&spec).copied().unwrap_or(usize::MAX);
-                            self.body_best
-                                .entry(key)
-                                .and_modify(|e| {
-                                    if ord < e.0 {
-                                        *e = (ord, spec);
-                                    }
-                                })
-                                .or_insert((ord, spec));
                             let better = match &self.best {
                                 None => true,
                                 Some(b) => {
@@ -779,20 +733,16 @@ impl<'p> Search<'p> {
                             };
                             if better {
                                 self.best =
-                                    Some(Best { spec, report: (**report).clone(), ord, key });
+                                    Some(Best { spec, report: (**report).clone(), ord, body });
                             }
                         }
-                        Some(MeasureOutcome::CutOff) => {
+                        MeasureOutcome::CutOff => {
                             // cut off: provably slower than the incumbent
                             self.stats.explored += 1;
                             self.stats.pruned += 1;
-                            if predicted {
-                                self.stats.predicted += 1;
-                            } else if shared {
-                                self.stats.deduped += 1;
-                            }
+                            self.stats.predicted += usize::from(predicted);
                         }
-                        Some(MeasureOutcome::Failed) | None => {}
+                        MeasureOutcome::Failed => {}
                     }
                 }
             }
@@ -812,22 +762,31 @@ impl<'p> Search<'p> {
     /// report and records every trial for drift tracking.
     fn rerank_hardware(&mut self) {
         let cfg = &self.options.measure;
-        // Distinct measured bodies by model ranking (cycles, then ord).
-        let mut candidates: Vec<(f64, usize, BodyKey, VariantSpec)> = self
-            .measured
+        // Measured bodies by model ranking (cycles, then ord).
+        let mut ranked: Vec<(f64, usize, usize)> = self
+            .bodies
             .iter()
-            .filter_map(|(key, outcome)| match outcome {
-                MeasureOutcome::Measured(report) => {
-                    let (ord, spec) = *self.body_best.get(key)?;
-                    Some((report.cycles, ord, *key, spec))
-                }
+            .enumerate()
+            .filter_map(|(body, b)| match &b.outcome {
+                MeasureOutcome::Measured(report) => Some((report.cycles, b.label.0, body)),
                 _ => None,
             })
             .collect();
-        candidates.sort_by(|a, b| {
+        ranked.sort_by(|a, b| {
             a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
         });
-        candidates.truncate(cfg.top_k.max(1));
+        // Two representatives can lower to byte-identical C. Time each
+        // distinct kernel once, under its best-ranked body, and digest
+        // only until the top K are found.
+        let target = self.options.target;
+        let mut seen = HashSet::new();
+        let candidates: Vec<(f64, usize, usize)> = ranked
+            .into_iter()
+            .filter(|&(_, _, body)| {
+                seen.insert(slingen_cir::unparse::digest_c_for(&self.bodies[body].function, target))
+            })
+            .take(cfg.top_k.max(1))
+            .collect();
         if candidates.is_empty() {
             return;
         }
@@ -843,12 +802,12 @@ impl<'p> Search<'p> {
             }
         };
         let mut trials: Vec<HwTrial> = Vec::with_capacity(candidates.len());
-        for &(model_cycles, _, key, spec) in &candidates {
-            let function = self.body_fns.get(&key).expect("measured bodies are retained");
+        for &(model_cycles, _, body) in &candidates {
+            let Body { function, label: (_, spec), .. } = &self.bodies[body];
             match crate::measure::Measurer::measure(&hw, self.program, function, self.options.seed)
             {
                 Ok(m) if m.cycles.is_finite() && m.cycles >= 0.0 => {
-                    trials.push(HwTrial { spec, model_cycles, measured: m });
+                    trials.push(HwTrial { spec: *spec, model_cycles, measured: m });
                 }
                 Ok(m) => {
                     eprintln!(
@@ -880,13 +839,13 @@ impl<'p> Search<'p> {
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("at least one trial");
-        let (_, ord, key, spec) = candidates[win];
-        let report = match self.measured.get(&key) {
-            Some(MeasureOutcome::Measured(r)) => (**r).clone().with_measured(trials[win].measured),
+        let (_, ord, body) = candidates[win];
+        let report = match &self.bodies[body].outcome {
+            MeasureOutcome::Measured(r) => (**r).clone().with_measured(trials[win].measured),
             _ => unreachable!("candidates are measured bodies"),
         };
         self.stats.hw_ranked = trials.len();
-        self.best = Some(Best { spec, report, ord, key });
+        self.best = Some(Best { spec: trials[win].spec, report, ord, body });
         self.hw_trials = trials;
     }
 
@@ -896,8 +855,7 @@ impl<'p> Search<'p> {
         let target = self.options.target;
         match self.best {
             Some(best) => {
-                let function =
-                    self.body_fns.remove(&best.key).expect("the winning body is retained");
+                let function = self.bodies.swap_remove(best.body).function;
                 let variant = Variant { function, spec: best.spec, report: best.report };
                 Ok(crate::pipeline::emit(
                     variant,

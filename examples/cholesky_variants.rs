@@ -28,11 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
 
         // the default greedy search: all three dimensions, pruned by the
-        // machine model's cycle budget, byte-identical variants deduped
+        // machine model's cycle budget, threshold-equivalent variants
+        // predicted without lowering
         let auto = slingen::generate(&program, &opts)?;
         println!(
-            "  greedy winner: {} ({} variants explored, {} pruned early, {} deduped)",
-            auto.spec, auto.tuning.explored, auto.tuning.pruned, auto.tuning.deduped
+            "  greedy winner: {} ({} variants explored, {} pruned early, {} predicted)",
+            auto.spec, auto.tuning.explored, auto.tuning.pruned, auto.tuning.predicted
         );
 
         // exhaustive sweep for comparison: same winner, more work

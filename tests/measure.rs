@@ -111,12 +111,16 @@ fn hardware_and_model_winners_are_valid_space_members() {
             g.hw_trials[0].spec, model.spec,
             "{name}: trial zero is the model-ranked winner"
         );
+        let mut kernels = std::collections::HashSet::new();
         for t in &g.hw_trials {
             assert!(space.contains(&t.spec), "{name}: every trial is a space member");
             assert!(
                 measured.cycles <= t.measured.cycles,
                 "{name}: the measured winner must be the measured minimum"
             );
+            let pinned =
+                slingen::generate_with_spec(&program, t.spec, &Options::default()).unwrap();
+            assert!(kernels.insert(pinned.c_code), "{name}: trial {} repeats a kernel", t.spec);
         }
         assert_eq!(g.tuning.hw_ranked, g.hw_trials.len(), "{name}: stats track the trials");
         assert_eq!(g.cycles_source(), "measured");

@@ -15,6 +15,7 @@ use slingen::{apps, generate, generate_with_spec, Generated, Options, Target, Va
 use slingen_cir::unparse::digest_c_for;
 use slingen_ir::Program;
 use slingen_synth::Policy;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn paper_apps() -> Vec<(&'static str, Program)> {
     vec![
@@ -54,10 +55,34 @@ fn digest_table() -> String {
     table
 }
 
+/// Rows of one app × target with equal C digest and length must carry
+/// equal reports: the tuner measures every representative, so a body that
+/// two variants lower to identically is measured twice and must rank the
+/// same both times. At least one such group spans both policies, the case
+/// predictive dedupe cannot see.
+fn assert_duplicate_bodies_measure_alike(table: &str) {
+    let mut groups: BTreeMap<[&str; 4], (BTreeSet<&str>, BTreeSet<&str>)> = BTreeMap::new();
+    for row in table.lines() {
+        let f: Vec<&str> = row.splitn(7, ' ').collect();
+        let (name, target, spec, digest, len, wire) = (f[1], f[2], f[3], f[4], f[5], f[6]);
+        let (wires, policies) = groups.entry([name, target, digest, len]).or_default();
+        wires.insert(wire);
+        policies.insert(spec.split('/').next().expect("spec has a policy"));
+    }
+    for (key, (wires, _)) in &groups {
+        assert_eq!(wires.len(), 1, "{key:?}: byte-identical C measured to different reports");
+    }
+    assert!(
+        groups.values().any(|(_, policies)| policies.len() > 1),
+        "expected a byte-identical body shared across policies"
+    );
+}
+
 #[test]
 fn stage3_output_matches_the_golden_table() {
     let path = format!("{}/../../tests/snapshots/stage3_digests.txt", env!("CARGO_MANIFEST_DIR"));
     let got = digest_table();
+    assert_duplicate_bodies_measure_alike(&got);
     if std::env::var_os("SLINGEN_BLESS").is_some() {
         std::fs::write(&path, &got).expect("write the golden table");
         return;
