@@ -25,6 +25,12 @@
 //!   hit and verified byte-identical against the persisted C — a stale
 //!   file silently falls back to a fresh search.
 //!
+//! A stored win is shared, never copied: `Entry::Ready` and the flight
+//! result hold it as an `Arc<CachedWin>`, and every [`Generated`] built
+//! from it hands out the win's own `Arc<Function>` and `Arc<str>` C. A
+//! hit clones one `Arc` under the shard lock and builds its `Generated`
+//! after releasing it.
+//!
 //! The on-disk format is hand-rolled (this workspace is offline — no
 //! serde): a magic/version header, one length-prefixed record per entry,
 //! and a trailing `end <count>` marker so truncation is always detected:
@@ -72,11 +78,11 @@ const VERSION: u32 = 2;
 const ACCEPTED_VERSIONS: [u32; 2] = [1, 2];
 
 /// The cached outcome of one tuned generation, fully materialized.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CachedWin {
     pub(crate) spec: VariantSpec,
-    pub(crate) function: Function,
-    pub(crate) c_code: String,
+    pub(crate) function: Arc<Function>,
+    pub(crate) c_code: Arc<str>,
     pub(crate) report: Report,
     pub(crate) db_stats: (usize, usize),
     pub(crate) stats: TuneStats,
@@ -87,8 +93,8 @@ impl CachedWin {
     /// that received this win from an in-flight search.
     pub(crate) fn to_generated(&self, coalesced: bool) -> Generated {
         Generated {
-            function: self.function.clone(),
-            c_code: self.c_code.clone(),
+            function: Arc::clone(&self.function),
+            c_code: Arc::clone(&self.c_code),
             policy: self.spec.policy,
             spec: self.spec,
             report: self.report.clone(),
@@ -116,7 +122,7 @@ pub(crate) struct PersistedWin {
 /// One in-flight search: the owner publishes exactly once, waiters block
 /// on the condvar.
 struct Flight {
-    result: Mutex<Option<Result<Box<CachedWin>, Error>>>,
+    result: Mutex<Option<Result<Arc<CachedWin>, Error>>>,
     cv: Condvar,
 }
 
@@ -125,7 +131,7 @@ impl Flight {
         Arc::new(Flight { result: Mutex::new(None), cv: Condvar::new() })
     }
 
-    fn publish(&self, r: Result<Box<CachedWin>, Error>) {
+    fn publish(&self, r: Result<Arc<CachedWin>, Error>) {
         let mut slot = self.result.lock().unwrap();
         if slot.is_none() {
             *slot = Some(r);
@@ -133,7 +139,7 @@ impl Flight {
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Result<Box<CachedWin>, Error> {
+    fn wait(&self) -> Result<Arc<CachedWin>, Error> {
         let mut slot = self.result.lock().unwrap();
         while slot.is_none() {
             slot = self.cv.wait(slot).unwrap();
@@ -143,7 +149,7 @@ impl Flight {
 }
 
 enum Entry {
-    Ready(Box<CachedWin>),
+    Ready(Arc<CachedWin>),
     Persisted(Box<PersistedWin>),
     InFlight(Arc<Flight>),
 }
@@ -322,9 +328,8 @@ impl TuneCache {
                     slot.last_hit = now;
                     match &slot.entry {
                         Entry::Ready(win) => {
-                            let g = win.to_generated(false);
                             *hits += 1;
-                            return Claim::Hit(Box::new(g));
+                            return Claim::Hit { win: Arc::clone(win), coalesced: false };
                         }
                         Entry::Persisted(_) => {
                             *hits += 1;
@@ -368,7 +373,7 @@ impl TuneCache {
         // Coalesced: block outside the shard lock until the owner
         // publishes, then share its result (or its error).
         match flight.wait() {
-            Ok(win) => Claim::Hit(Box::new(win.to_generated(true))),
+            Ok(win) => Claim::Hit { win, coalesced: true },
             Err(e) => Claim::Failed(e),
         }
     }
@@ -407,9 +412,11 @@ impl TuneCache {
             let shard = shard.lock().unwrap();
             for (key, slot) in &shard.map {
                 let (spec, c_code, wire, db_stats, stats) = match &slot.entry {
-                    Entry::Ready(w) => (w.spec, &w.c_code, w.report.to_wire(), w.db_stats, w.stats),
+                    Entry::Ready(w) => {
+                        (w.spec, &*w.c_code, w.report.to_wire(), w.db_stats, w.stats)
+                    }
                     Entry::Persisted(p) => {
-                        (p.spec, &p.c_code, p.report_wire.clone(), p.db_stats, p.stats)
+                        (p.spec, p.c_code.as_str(), p.report_wire.clone(), p.db_stats, p.stats)
                     }
                     Entry::InFlight(_) => continue,
                 };
@@ -522,9 +529,15 @@ impl fmt::Debug for TuneCache {
 /// How a [`TuneCache::claim`] resolved.
 pub(crate) enum Claim {
     /// The key was cached (or an in-flight search finished): here is the
-    /// replayed result (boxed — a `Generated` carries the whole C-IR
-    /// function).
-    Hit(Box<Generated>),
+    /// stored win. Only its `Arc` is cloned under the shard lock; the
+    /// caller builds the [`Generated`] after the lock is released, and
+    /// that `Generated` shares the win's function and C.
+    Hit {
+        /// The stored (or just-published) win.
+        win: Arc<CachedWin>,
+        /// Whether this request waited on an in-flight search for it.
+        coalesced: bool,
+    },
     /// Nothing cached: the caller owns the search for this key and must
     /// settle the ticket.
     Owner(Ticket),
@@ -553,10 +566,9 @@ impl Ticket {
     }
 
     /// Publish the finished win: waiters wake with it, the slot becomes
-    /// [`Entry::Ready`].
-    pub(crate) fn fulfill(mut self, win: CachedWin) {
+    /// [`Entry::Ready`]. Slot and waiters share one allocation.
+    pub(crate) fn fulfill(mut self, win: Arc<CachedWin>) {
         self.settled = true;
-        let boxed = Box::new(win);
         let si = shard_index(&self.key);
         {
             let now = self.cache.touch();
@@ -564,10 +576,10 @@ impl Ticket {
             shard.inserts += 1;
             shard.map.insert(
                 self.key.clone(),
-                Slot { entry: Entry::Ready(boxed.clone()), last_hit: now },
+                Slot { entry: Entry::Ready(Arc::clone(&win)), last_hit: now },
             );
         }
-        self.flight.publish(Ok(boxed));
+        self.flight.publish(Ok(win));
     }
 
     /// Publish a failure: waiters wake with the (cloned) error, the slot
@@ -716,5 +728,76 @@ fn parse_cache_file(src: &str) -> Result<Vec<(String, PersistedWin)>, String> {
                 },
             },
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apps;
+    use crate::pipeline::Options;
+    use crate::tuner::{cache_key, settle};
+    use std::time::{Duration, Instant};
+
+    /// Two results of one key point at one function and one C: a
+    /// regression to deep copies fails here.
+    fn assert_shared(a: &Generated, b: &Generated) {
+        assert!(Arc::ptr_eq(&a.function, &b.function), "the function was copied");
+        assert!(Arc::ptr_eq(&a.c_code, &b.c_code), "the C was copied");
+    }
+
+    #[test]
+    fn hits_share_the_stored_winner() {
+        let opts = Options::default();
+        let program = apps::potrf(4);
+        let miss = crate::generate(&program, &opts).unwrap();
+        let first = crate::generate(&program, &opts).unwrap();
+        let second = crate::generate(&program, &opts).unwrap();
+        assert!(!miss.tuning.cache_hit);
+        assert!(first.tuning.cache_hit && second.tuning.cache_hit);
+        assert_shared(&miss, &first);
+        assert_shared(&first, &second);
+    }
+
+    #[test]
+    fn a_coalesced_waiter_shares_its_owners_winner() {
+        let opts = Options::default();
+        let program = apps::potrf(4);
+        // Hold the key's in-flight slot so the waiter is certain to
+        // coalesce, then run the owner's side once it is waiting.
+        let Claim::Owner(ticket) = opts.cache.claim(&cache_key(&program, &opts)) else {
+            panic!("the first claim on an empty cache owns the key");
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| crate::generate(&program, &opts).unwrap());
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while opts.cache.coalesced() == 0 {
+                assert!(Instant::now() < deadline, "the waiter never reached the in-flight slot");
+                std::thread::yield_now();
+            }
+            let owner = settle(&program, &opts, ticket).unwrap();
+            let waiter = waiter.join().unwrap();
+            assert!(!owner.tuning.cache_hit);
+            assert!(waiter.tuning.coalesced);
+            assert_shared(&owner, &waiter);
+        });
+    }
+
+    #[test]
+    fn a_materialized_persisted_entry_is_shared_by_later_hits() {
+        let program = apps::potrf(4);
+        let warm = Options::default();
+        crate::generate(&program, &warm).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("slingen-cache-share-test-{}", std::process::id()));
+        warm.cache.save(&path).unwrap();
+        let loaded = TuneCache::load_checked(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let opts = Options { cache: loaded, ..Options::default() };
+        let first_touch = crate::generate(&program, &opts).unwrap();
+        let later = crate::generate(&program, &opts).unwrap();
+        assert!(first_touch.tuning.persisted && later.tuning.persisted);
+        assert_eq!(opts.cache.searches(), 0, "both requests replay the persisted entry");
+        assert_shared(&first_touch, &later);
     }
 }

@@ -18,6 +18,7 @@ use slingen_lgen::BufferMap;
 use slingen_perf::{Machine, Report};
 use slingen_synth::Policy;
 use slingen_vm::BufferSet;
+use std::sync::Arc;
 
 /// Generation options.
 #[derive(Debug, Clone)]
@@ -97,12 +98,16 @@ impl Options {
 }
 
 /// The result of generation.
+///
+/// The function and the C are shared: a cache hit hands out the stored
+/// winner's `Arc`s, so every replay of one key points at the same
+/// allocation.
 #[derive(Debug)]
 pub struct Generated {
     /// The optimized C-IR function.
-    pub function: Function,
+    pub function: Arc<Function>,
     /// The emitted single-source C code.
-    pub c_code: String,
+    pub c_code: Arc<str>,
     /// The algorithmic variant that won the autotuning (the policy axis
     /// of [`Generated::spec`], kept for convenience).
     pub policy: Policy,
@@ -158,8 +163,8 @@ pub(crate) fn emit(
 ) -> Generated {
     let c_code = slingen_cir::unparse::to_c_for(&variant.function, target);
     Generated {
-        function: variant.function,
-        c_code,
+        function: Arc::new(variant.function),
+        c_code: c_code.into(),
         policy: variant.spec.policy,
         spec: variant.spec,
         report: variant.report,

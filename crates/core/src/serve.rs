@@ -35,6 +35,7 @@ use crate::cache::TuneCache;
 use crate::measure::MeasureConfig;
 use crate::pipeline::{Generated, Options};
 use crate::{apps, Target};
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -80,18 +81,30 @@ impl Scalar {
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_json_into(&mut out, s);
     out
+}
+
+/// [`escape_json`], appending to `out`. Every byte that needs an escape
+/// (a control byte, `"` or `\`) is ASCII, so the scan runs over bytes
+/// and copies each clean run between two such bytes with one `push_str`.
+fn escape_json_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Parse one flat JSON object of scalar values. Rejects nesting,
@@ -391,7 +404,13 @@ impl Engine {
             "measured" => self.served_measured.fetch_add(1, Ordering::Relaxed),
             _ => self.served_model.fetch_add(1, Ordering::Relaxed),
         };
-        let mut resp = format!(
+        // One allocation: the summary fields, then the C escaped in place.
+        // Escapes grow C by about one byte per line, so a sixteenth on top
+        // of its length covers them.
+        let c_len = if req.emit == Emit::Code { g.c_code.len() + g.c_code.len() / 16 } else { 0 };
+        let mut resp = String::with_capacity(256 + req.id.len() + c_len);
+        let _ = write!(
+            resp,
             "{{\"id\":{},\"ok\":true,\"app\":\"{}\",\"n\":{},\"target\":\"{}\",\"cache\":\"{}\",\
              \"cycles_source\":\"{source}\",\
              \"winner\":\"{}\",\"cycles\":{:.1},\"flops_per_cycle\":{:.3}",
@@ -405,7 +424,9 @@ impl Engine {
             g.flops_per_cycle(),
         );
         if req.emit == Emit::Code {
-            resp.push_str(&format!(",\"c\":\"{}\"", escape_json(&g.c_code)));
+            resp.push_str(",\"c\":\"");
+            escape_json_into(&mut resp, &g.c_code);
+            resp.push('"');
         }
         resp.push('}');
         Ok(resp)
@@ -552,5 +573,53 @@ mod tests {
     fn escape_round_trips_controls() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
+    }
+
+    /// A char-at-a-time escape: the reference the one-pass scan of
+    /// `escape_json` must reproduce byte for byte.
+    fn escape_json_charwise(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Every ASCII byte alone and all of them in a row, multi-byte UTF-8,
+    /// the empty string, and the committed potrf8 C of every target.
+    fn escape_inputs() -> Vec<String> {
+        let mut inputs: Vec<String> = (0u8..0x80).map(|b| char::from(b).to_string()).collect();
+        inputs.push((0u8..0x80).map(char::from).collect());
+        inputs.push(String::new());
+        inputs.push("é\"ü\\—\n∑\u{1}𝔽\u{80}\u{7ff}\u{ffff}\u{10ffff}".into());
+        for target in Target::ALL {
+            let path =
+                format!("{}/../../tests/snapshots/potrf8_{target}.c", env!("CARGO_MANIFEST_DIR"));
+            inputs.push(std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}")));
+        }
+        inputs
+    }
+
+    #[test]
+    fn escape_matches_the_charwise_reference() {
+        for s in escape_inputs() {
+            assert_eq!(escape_json(&s), escape_json_charwise(&s), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn escaped_strings_parse_back() {
+        for s in escape_inputs() {
+            let parsed = parse_flat_object(&format!("{{\"k\":\"{}\"}}", escape_json(&s)));
+            assert_eq!(parsed, Ok(vec![("k".to_string(), Scalar::Str(s.clone()))]), "{s:?}");
+        }
     }
 }

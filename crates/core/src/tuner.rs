@@ -44,7 +44,7 @@
 //! change. Representatives run lowering, optimization, and measurement
 //! end-to-end in one thread per variant — no cross-stage barrier.
 
-use crate::cache::{CachedWin, Claim, PersistedWin};
+use crate::cache::{CachedWin, Claim, PersistedWin, Ticket};
 pub use crate::cache::{ShardStats, TuneCache};
 use crate::pipeline::{measure, Generated, Options, DEFAULT_LOOP_THRESHOLD};
 use crate::Error;
@@ -301,7 +301,7 @@ fn nearest(values: &[usize], target: usize) -> usize {
 /// particular every `loop_threshold`, axis member or not (100, 64, 256,
 /// ...), hits the same cached result; historically an axis-member seed
 /// like 256 still missed.
-fn cache_key(program: &Program, options: &Options) -> String {
+pub(crate) fn cache_key(program: &Program, options: &Options) -> String {
     use std::fmt::Write;
     let mut key = String::with_capacity(256);
     let _ = write!(key, "{program}");
@@ -849,13 +849,18 @@ impl<'p> Search<'p> {
         self.hw_trials = trials;
     }
 
-    fn into_generated(mut self) -> Result<Generated, Error> {
+    fn into_generated(self) -> Result<Generated, Error> {
         let db_stats = self.synth.stats();
         let stats = self.stats;
         let target = self.options.target;
         match self.best {
             Some(best) => {
-                let function = self.bodies.swap_remove(best.body).function;
+                // One copy per search, made on this thread: the cache keeps
+                // the winner for the life of the process, and keeping the
+                // body a representative thread built instead, amid the
+                // search's freed temporaries, raised peak RSS by ~14% on
+                // `cold_paper` (glibc, 2 vCPUs).
+                let function = self.bodies[best.body].function.clone();
                 let variant = Variant { function, spec: best.spec, report: best.report };
                 Ok(crate::pipeline::emit(
                     variant,
@@ -968,12 +973,13 @@ fn materialize_persisted(
         .map_err(|e| format!("persisted spec no longer synthesizes: {e}"))?;
     let function = lower_variant(program, spec, &basic, options)
         .map_err(|e| format!("persisted spec no longer lowers: {e}"))?;
-    let c_code = slingen_cir::unparse::to_c_for(&function, options.target);
-    if c_code != p.c_code {
+    let c_code: Arc<str> = slingen_cir::unparse::to_c_for(&function, options.target).into();
+    if *c_code != *p.c_code {
         return Err("persisted C differs from re-materialized C (stale generator?)".into());
     }
     let report = Report::from_wire(options.machine.clone(), &p.report_wire)
         .ok_or("persisted report line is unparsable")?;
+    let function = Arc::new(function);
     Ok(CachedWin { spec, function, c_code, report, db_stats: p.db_stats, stats: p.stats })
 }
 
@@ -994,15 +1000,26 @@ pub(crate) fn tune(program: &Program, options: &Options) -> Result<Generated, Er
             "empty autotuning search space".into(),
         )));
     }
-    let key = cache_key(program, options);
-    let mut ticket = match options.cache.claim(&key) {
-        Claim::Hit(g) => return Ok(*g),
-        Claim::Failed(e) => return Err(e),
-        Claim::Owner(t) => t,
-    };
+    match options.cache.claim(&cache_key(program, options)) {
+        Claim::Hit { win, coalesced } => Ok(win.to_generated(coalesced)),
+        Claim::Failed(e) => Err(e),
+        Claim::Owner(ticket) => settle(program, options, ticket),
+    }
+}
+
+/// The owner's side of [`tune`]: re-materialize the ticket's persisted
+/// payload, or run the search, and settle the ticket with the result.
+/// The returned [`Generated`] shares its function and C with the stored
+/// win.
+pub(crate) fn settle(
+    program: &Program,
+    options: &Options,
+    mut ticket: Ticket,
+) -> Result<Generated, Error> {
     if let Some(p) = ticket.take_persisted() {
         match materialize_persisted(program, options, &p) {
             Ok(win) => {
+                let win = Arc::new(win);
                 let g = win.to_generated(false);
                 ticket.fulfill(win);
                 return Ok(g);
@@ -1026,14 +1043,14 @@ pub(crate) fn tune(program: &Program, options: &Options) -> Result<Generated, Er
     }
     match search.into_generated() {
         Ok(g) => {
-            ticket.fulfill(CachedWin {
+            ticket.fulfill(Arc::new(CachedWin {
                 spec: g.spec,
-                function: g.function.clone(),
-                c_code: g.c_code.clone(),
+                function: Arc::clone(&g.function),
+                c_code: Arc::clone(&g.c_code),
                 report: g.report.clone(),
                 db_stats: g.db_stats,
                 stats: g.tuning,
-            });
+            }));
             Ok(g)
         }
         Err(e) => {

@@ -30,7 +30,7 @@ fn emit_for(target: Target, out_dir: &str) -> Result<(), Box<dyn std::error::Err
     for (name, program) in programs {
         let g = slingen::generate(&program, &opts)?;
         let path = format!("{out_dir}/{name}.c");
-        std::fs::write(&path, &g.c_code)?;
+        std::fs::write(&path, g.c_code.as_bytes())?;
         println!(
             "{path}: [{target}] {} instrs, {} variant, {:.2} f/c modeled",
             g.function.static_instr_count(),

@@ -13,6 +13,7 @@ use slingen_lgen::{lower_program_profiled, LowerOptions};
 use slingen_synth::{synthesize_program, AlgorithmDb, Policy};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn paper_apps() -> Vec<(&'static str, Program)> {
     vec![
@@ -58,7 +59,7 @@ fn equal_classes_are_byte_identical_everywhere() {
             for &nu in target.widths() {
                 for policy in Policy::ALL {
                     let profile = profile_for(&program, policy, nu, THRESHOLDS[0]);
-                    let mut by_class: HashMap<usize, (usize, String)> = HashMap::new();
+                    let mut by_class: HashMap<usize, (usize, Arc<str>)> = HashMap::new();
                     for &t in THRESHOLDS {
                         assert_eq!(
                             profile,

@@ -33,7 +33,7 @@ fn potrf8_c_is_byte_stable_per_target() {
     for target in Target::ALL {
         let want = std::fs::read_to_string(snapshot_path(target))
             .unwrap_or_else(|e| panic!("missing snapshot for {target}: {e}"));
-        let got = snapshot_generated(target).c_code;
+        let got = snapshot_generated(target).c_code.to_string();
         assert_eq!(
             got, want,
             "{target}: emitted C drifted from tests/snapshots/potrf8_{target}.c — if the \
