@@ -80,9 +80,16 @@ impl Scalar {
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
+    let mut out = String::with_capacity(escaped_capacity(s.len()));
     escape_json_into(&mut out, s);
     out
+}
+
+/// Room to reserve for `len` bytes once escaped. Escapes grow emitted C
+/// by about one byte per line, so a sixteenth on top of its length
+/// covers them; the constant covers short strings with a quote or two.
+fn escaped_capacity(len: usize) -> usize {
+    len + len / 16 + 8
 }
 
 /// [`escape_json`], appending to `out`. Every byte that needs an escape
@@ -90,7 +97,7 @@ pub fn escape_json(s: &str) -> String {
 /// and copies each clean run between two such bytes with one `push_str`.
 fn escape_json_into(out: &mut String, s: &str) {
     let mut rest = s;
-    while let Some(i) = rest.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+    while let Some(i) = next_escape(rest.as_bytes()) {
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
@@ -105,6 +112,38 @@ fn escape_json_into(out: &mut String, s: &str) {
         rest = &rest[i + 1..];
     }
     out.push_str(rest);
+}
+
+/// Index of the first byte of `b` that needs a JSON escape. Tests eight
+/// bytes at a time as one little-endian `u64`, then the last 0-7 bytes
+/// one by one.
+fn next_escape(b: &[u8]) -> Option<usize> {
+    let mut words = b.chunks_exact(8);
+    for (k, word) in words.by_ref().enumerate() {
+        let flags = escape_flags(u64::from_le_bytes(word.try_into().unwrap()));
+        if flags != 0 {
+            return Some(k * 8 + flags.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = b.len() - words.remainder().len();
+    words.remainder().iter().position(|&c| needs_escape(c)).map(|i| tail + i)
+}
+
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Sets the high bit of each byte of `w` that is `< 0x20`, `"` or `\`,
+/// by the "has a byte below n" trick: `(w - n) & !w & 0x80` per byte.
+/// A byte with its high bit set is never flagged, so UTF-8 is safe. A
+/// borrow only moves upward out of a byte that really matched, so bytes
+/// above the lowest flag may be false hits but the lowest flag is
+/// always real; callers use only that one.
+fn escape_flags(w: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * n as u64) & !x & HIGH;
+    below(w, 0x20) | below(w ^ (ONES * b'"' as u64), 1) | below(w ^ (ONES * b'\\' as u64), 1)
 }
 
 /// Parse one flat JSON object of scalar values. Rejects nesting,
@@ -405,9 +444,7 @@ impl Engine {
             _ => self.served_model.fetch_add(1, Ordering::Relaxed),
         };
         // One allocation: the summary fields, then the C escaped in place.
-        // Escapes grow C by about one byte per line, so a sixteenth on top
-        // of its length covers them.
-        let c_len = if req.emit == Emit::Code { g.c_code.len() + g.c_code.len() / 16 } else { 0 };
+        let c_len = if req.emit == Emit::Code { escaped_capacity(g.c_code.len()) } else { 0 };
         let mut resp = String::with_capacity(256 + req.id.len() + c_len);
         let _ = write!(
             resp,
@@ -594,12 +631,42 @@ mod tests {
     }
 
     /// Every ASCII byte alone and all of them in a row, multi-byte UTF-8,
-    /// the empty string, and the committed potrf8 C of every target.
+    /// the empty string, the committed potrf8 C of every target, and the
+    /// cases that land on each lane of the eight-byte scan:
+    /// - each escapable byte at every offset 0..=16 inside a clean run of
+    ///   1-, 2-, 3- and 4-byte characters;
+    /// - each escapable byte directly followed by a byte its borrow turns
+    ///   into a false hit (0x20 and 0x7f below 0x20; `#` and `]` one above
+    ///   `"` and `\`), at every offset 0..=7;
+    /// - clean strings of every length 0..=17, for the byte-wise tail.
     fn escape_inputs() -> Vec<String> {
         let mut inputs: Vec<String> = (0u8..0x80).map(|b| char::from(b).to_string()).collect();
         inputs.push((0u8..0x80).map(char::from).collect());
         inputs.push(String::new());
         inputs.push("é\"ü\\—\n∑\u{1}𝔽\u{80}\u{7ff}\u{ffff}\u{10ffff}".into());
+        let escapable: Vec<char> = (0u8..0x20).chain([b'"', b'\\']).map(char::from).collect();
+        for unit in ["a", "é", "—", "𝔽"] {
+            for &e in &escapable {
+                for offset in 0..=16 {
+                    // ASCII pads the escape onto an offset the unit's width
+                    // does not divide.
+                    let mut s = "b".repeat(offset % unit.len()) + &unit.repeat(offset / unit.len());
+                    s.push(e);
+                    while s.len() <= 24 {
+                        s.push_str(unit);
+                    }
+                    inputs.push(s);
+                }
+            }
+        }
+        for &e in &escapable {
+            for next in ['\u{20}', '\u{7f}', '#', ']'] {
+                for offset in 0..=7 {
+                    inputs.push(format!("{}{e}{next}{}", "a".repeat(offset), "a".repeat(16)));
+                }
+            }
+        }
+        inputs.extend((0..=17).map(|len| "x".repeat(len)));
         for target in Target::ALL {
             let path =
                 format!("{}/../../tests/snapshots/potrf8_{target}.c", env!("CARGO_MANIFEST_DIR"));

@@ -52,11 +52,11 @@ use slingen_cir::passes::optimize;
 use slingen_cir::{Function, Target};
 use slingen_ir::Program;
 use slingen_lgen::{lower_program_profiled, LowerOptions, LowerProfile};
-use slingen_perf::{pressure_lower_bound, Report};
+use slingen_perf::{pressure_lower_bound, Machine, Report};
 use slingen_synth::{synthesize_program, AlgorithmDb, BasicProgram, Policy};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One point of the autotuning search space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,16 +313,40 @@ pub(crate) fn cache_key(program: &Program, options: &Options) -> String {
         }
     }
     let nus = options.search.nus_for(options.target, options.nu);
-    let _ = write!(
-        key,
-        "|target:{}|machine:{:?}|passes:{:?}|nus:{nus:?}|seed:{}",
-        options.target, options.machine, options.passes, options.seed
-    );
+    let _ = write!(key, "|target:{}|machine:", options.target);
+    match default_machine_text(&options.machine) {
+        Some(text) => key.push_str(text),
+        None => {
+            let _ = write!(key, "{:?}", options.machine);
+        }
+    }
+    let _ = write!(key, "|passes:{:?}|nus:{nus:?}|seed:{}", options.passes, options.seed);
     options.search.fingerprint(&mut key);
     // Empty in model mode — default keys (and every existing persisted
     // cache) are byte-identical to the pre-measurement format.
     key.push_str(&options.measure.cache_key_suffix());
     key
+}
+
+/// The `{:?}` text of `machine` if it is a target's default machine.
+/// Printing its twenty floats costs microseconds, a large share of a
+/// cache hit, so each default machine's text is built once per process.
+/// Equal floats print the same text unless they are ±0.0 or NaN, and no
+/// default table holds either (the unit tests check), so a key built
+/// from this text is byte-for-byte the plain `{:?}` one.
+fn default_machine_text(machine: &Machine) -> Option<&'static str> {
+    static DEFAULTS: OnceLock<Vec<(Machine, String)>> = OnceLock::new();
+    let defaults = DEFAULTS.get_or_init(|| {
+        Target::ALL
+            .iter()
+            .map(|&t| {
+                let m = Machine::from_target(t);
+                let text = format!("{m:?}");
+                (m, text)
+            })
+            .collect()
+    });
+    defaults.iter().find(|(m, _)| m == machine).map(|(_, text)| text.as_str())
 }
 
 /// A measured variant before the winner's C code is emitted.
@@ -1057,5 +1081,60 @@ pub(crate) fn settle(
             ticket.fail(e.clone());
             Err(e)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apps;
+    use std::fmt::Write;
+
+    /// The key as built before the default machines' text was stored:
+    /// the machine printed with `{:?}` on every call. Persisted caches
+    /// are keyed by these bytes.
+    fn plain_cache_key(program: &Program, options: &Options) -> String {
+        let mut key = format!("{program}");
+        for (i, o) in program.operands().iter().enumerate() {
+            if let Some(t) = o.overwrites {
+                let _ = write!(key, "|ow{i}:{}", t.0);
+            }
+        }
+        let nus = options.search.nus_for(options.target, options.nu);
+        let _ = write!(
+            key,
+            "|target:{}|machine:{:?}|passes:{:?}|nus:{nus:?}|seed:{}",
+            options.target, options.machine, options.passes, options.seed
+        );
+        options.search.fingerprint(&mut key);
+        key.push_str(&options.measure.cache_key_suffix());
+        key
+    }
+
+    #[test]
+    fn default_keys_are_the_plain_debug_keys() {
+        for t in Target::ALL {
+            let options = Options::for_target(t);
+            let key = cache_key(&apps::potrf(4), &options);
+            assert_eq!(key, plain_cache_key(&apps::potrf(4), &options), "{t}");
+            // A clone is `==` to the default, so it takes the stored text.
+            let text = default_machine_text(&options.machine.clone()).unwrap();
+            assert_eq!(text, format!("{:?}", options.machine), "{t}");
+            // `==` floats print differently only as ±0.0 or NaN.
+            let signed_zero = text.contains(": 0.0,") || text.contains(": -0.0,");
+            assert!(!signed_zero && !text.contains("NaN"), "{t}: {text}");
+        }
+    }
+
+    #[test]
+    fn a_changed_machine_is_printed_and_keyed_apart() {
+        let options = Options::for_target(Target::Avx2);
+        let mut machine = options.machine.clone();
+        machine.fma_latency += 1.0;
+        assert_eq!(default_machine_text(&machine), None);
+        let changed = Options { machine, ..options.clone() };
+        let key = cache_key(&apps::potrf(4), &changed);
+        assert_eq!(key, plain_cache_key(&apps::potrf(4), &changed));
+        assert_ne!(key, cache_key(&apps::potrf(4), &options));
     }
 }

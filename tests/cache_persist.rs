@@ -3,7 +3,8 @@
 //! stale, or wrong-version file as empty — logged, never trusted, never
 //! a panic.
 
-use slingen::{apps, Options, TuneCache};
+use slingen::serve::{escape_json, Engine};
+use slingen::{apps, Options, Target, TuneCache};
 use slingen_ir::Program;
 use std::fs;
 use std::path::PathBuf;
@@ -245,6 +246,26 @@ fn v1_files_still_load_and_replay() {
     assert_eq!(replay.cache.save(&path).unwrap(), 1);
     assert!(fs::read_to_string(&path).unwrap().starts_with("slingen-tunecache v2\n"));
     let _ = fs::remove_file(&path);
+}
+
+/// A cache file written by an earlier build (one `slingen-serve
+/// --cache-file` run of the request below) still hits: its key bytes
+/// are the ones this build computes, and its C is the C this build
+/// emits. A change to either fails here before it silently turns every
+/// deployed cache file into misses.
+#[test]
+fn committed_v2_fixture_still_hits() {
+    let path =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/tunecache_v2_potrf4.cache");
+    let cache = TuneCache::load_checked(std::path::Path::new(path)).unwrap();
+    assert_eq!(cache.len(), 1);
+    let engine = Engine::new(cache, Target::Avx2);
+    let resp = engine.handle_line(r#"{"app":"potrf","n":4,"target":"avx2"}"#);
+    assert!(resp.contains("\"cache\":\"persisted\""), "{resp}");
+    assert_eq!(engine.cache().searches(), 0, "the fixture must replay without a search");
+    let cold = slingen::generate(&apps::potrf(4), &Options::for_target(Target::Avx2)).unwrap();
+    let c = format!("\"c\":\"{}\"}}", escape_json(&cold.c_code));
+    assert!(resp.ends_with(&c), "served C differs from a fresh search's:\n{resp}");
 }
 
 /// v2 round trip with a *measured* report: the optional `M` section
